@@ -12,8 +12,8 @@ use ici_bench::{emit, quiet_link, standard_workload, Scale};
 use ici_cluster::membership::JoinPolicy;
 use ici_core::config::{Clustering, IciConfig};
 use ici_net::topology::Coord;
-use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 use ici_workload::WorkloadGenerator;
 
@@ -52,7 +52,7 @@ fn main() {
         ("random", Clustering::Random),
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
-        let (mut network, _) = run_ici(
+        let (mut network, _) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -62,10 +62,9 @@ fn main() {
                 .seed(41)
                 .build()
                 .expect("valid configuration"),
-            10,
-            30,
-            standard_workload(41),
-        );
+            RunSpec::new(10, 30, standard_workload(41)),
+        )
+        .expect("run commits");
 
         // Drift: a burst of joins concentrated in one corner of the
         // latency space (a new region coming online).

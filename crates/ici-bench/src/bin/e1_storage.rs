@@ -21,8 +21,8 @@ use ici_bench::{
     txs_per_block, Scale,
 };
 use ici_core::config::IciConfig;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::{fmt_f64, Table};
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 
 fn main() {
@@ -48,17 +48,16 @@ fn main() {
     for n in network_sizes(scale) {
         let workload = standard_workload(7);
 
-        let (_, full) = run_full(
+        let (_, full) = run(
             FullConfig {
                 nodes: n,
                 link: quiet_link(),
                 seed: 7,
                 ..FullConfig::default()
             },
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
         // RapidChain commits one block per shard per round; match total
         // ledger volume by running blocks/k rounds per shard where k is
         // the shard count... instead we run the same number of *rounds* as
@@ -66,7 +65,7 @@ fn main() {
         // each system's own ledger (the fair normalisation).
         let shards = n.div_ceil(m);
         let rounds = (blocks / shards).max(1);
-        let (_, rapid) = run_rapidchain(
+        let (_, rapid) = run(
             RapidChainConfig {
                 nodes: n,
                 committee_size: m,
@@ -74,11 +73,10 @@ fn main() {
                 seed: 7,
                 ..RapidChainConfig::default()
             },
-            rounds,
-            txs,
-            workload,
-        );
-        let (_, ici) = run_ici(
+            RunSpec::new(rounds, txs, workload),
+        )
+        .expect("run commits");
+        let (_, ici) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -87,10 +85,9 @@ fn main() {
                 .seed(7)
                 .build()
                 .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
 
         let ratio = ici.storage_fraction() / rapid.storage_fraction();
         for summary in [&full, &rapid, &ici] {

@@ -14,8 +14,8 @@ use ici_baselines::analytic::{ici_per_node, LedgerShape};
 use ici_bench::{block_count, emit, quiet_link, standard_workload, txs_per_block, Scale};
 use ici_chain::block::BlockHeader;
 use ici_core::config::IciConfig;
-use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
             if r > c {
                 continue;
             }
-            let (network, summary) = run_ici(
+            let (network, summary) = run(
                 IciConfig::builder()
                     .nodes(n)
                     .cluster_size(c)
@@ -60,10 +60,9 @@ fn main() {
                     .seed(11)
                     .build()
                     .expect("valid configuration"),
-                blocks,
-                txs,
-                standard_workload(11),
-            );
+                RunSpec::new(blocks, txs, standard_workload(11)),
+            )
+            .expect("run commits");
             // Analytic prediction with the *actual* measured ledger shape.
             let chain_blocks = network.chain_len();
             let mean_body = if chain_blocks > 0 {

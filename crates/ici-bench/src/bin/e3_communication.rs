@@ -17,8 +17,8 @@ use ici_bench::{
 };
 use ici_core::config::IciConfig;
 use ici_net::metrics::MessageKind;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::{fmt_f64, Table};
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 
 fn main() {
@@ -40,19 +40,18 @@ fn main() {
     for n in network_sizes(scale) {
         let workload = standard_workload(3);
 
-        let (_, full) = run_full(
+        let (_, full) = run(
             FullConfig {
                 nodes: n,
                 link: quiet_link(),
                 seed: 3,
                 ..FullConfig::default()
             },
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
         let shards = n.div_ceil(m);
-        let (_, rapid) = run_rapidchain(
+        let (_, rapid) = run(
             RapidChainConfig {
                 nodes: n,
                 committee_size: m,
@@ -60,11 +59,10 @@ fn main() {
                 seed: 3,
                 ..RapidChainConfig::default()
             },
-            (blocks / shards).max(1),
-            txs,
-            workload,
-        );
-        let (ici_net, ici) = run_ici(
+            RunSpec::new((blocks / shards).max(1), txs, workload),
+        )
+        .expect("run commits");
+        let (ici_net, ici) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -73,10 +71,9 @@ fn main() {
                 .seed(3)
                 .build()
                 .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
 
         for summary in [&full, &rapid, &ici] {
             let per_tx = if summary.total_txs > 0 {

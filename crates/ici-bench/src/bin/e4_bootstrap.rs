@@ -17,8 +17,8 @@ use ici_chain::block::BlockHeader;
 use ici_cluster::membership::JoinPolicy;
 use ici_core::config::IciConfig;
 use ici_net::topology::Coord;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 
 fn main() {
@@ -50,22 +50,21 @@ fn main() {
         let workload = standard_workload(9);
 
         // Full replication joiner.
-        let (mut full_net, _) = run_full(
+        let (mut full_net, _) = run(
             FullConfig {
                 nodes: n,
                 link: quiet_link(),
                 seed: 9,
                 ..FullConfig::default()
             },
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
         let (full_bytes, full_time) = full_net.bootstrap_cost();
 
         // RapidChain joiner (assigned to shard 0).
         let shards = n.div_ceil(m);
-        let (mut rapid_net, _) = run_rapidchain(
+        let (mut rapid_net, _) = run(
             RapidChainConfig {
                 nodes: n,
                 committee_size: m,
@@ -73,14 +72,13 @@ fn main() {
                 seed: 9,
                 ..RapidChainConfig::default()
             },
-            (blocks / shards).max(1),
-            txs,
-            workload,
-        );
+            RunSpec::new((blocks / shards).max(1), txs, workload),
+        )
+        .expect("run commits");
         let (rapid_bytes, rapid_time) = rapid_net.bootstrap_cost(0);
 
         // ICI joiner.
-        let (mut ici_net, _) = run_ici(
+        let (mut ici_net, _) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -89,10 +87,9 @@ fn main() {
                 .seed(9)
                 .build()
                 .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
         let report = ici_net
             .bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::NearestCentroid)
             .expect("join succeeds");

@@ -13,8 +13,8 @@ use ici_bench::{cluster_size, emit, quiet_link, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_net::metrics::MessageKind;
 use ici_net::node::NodeId;
-use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 use ici_storage::stats::format_bytes;
 
 /// Deterministic pseudo-random crash set: `count` distinct nodes of `n`.
@@ -61,7 +61,7 @@ fn main() {
 
     for r in [1usize, 2, 3] {
         for &frac in &fractions {
-            let (mut network, _) = run_ici(
+            let (mut network, _) = run(
                 IciConfig::builder()
                     .nodes(n)
                     .cluster_size(c)
@@ -70,10 +70,9 @@ fn main() {
                     .seed(21)
                     .build()
                     .expect("valid configuration"),
-                blocks,
-                txs,
-                standard_workload(21),
-            );
+                RunSpec::new(blocks, txs, standard_workload(21)),
+            )
+            .expect("run commits");
 
             let crashed = crash_set(n, (n as f64 * frac) as usize, 77 + r as u64);
             for node in &crashed {

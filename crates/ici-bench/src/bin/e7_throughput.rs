@@ -16,8 +16,8 @@ use ici_bench::{
     txs_per_block, Scale,
 };
 use ici_core::config::IciConfig;
-use ici_sim::runner::{run_full, run_ici, run_rapidchain};
 use ici_sim::table::{fmt_f64, Table};
+use ici_sim::{run, RunSpec};
 
 fn main() {
     let scale = Scale::from_args();
@@ -41,19 +41,18 @@ fn main() {
     for n in network_sizes(scale) {
         let workload = standard_workload(17);
 
-        let (_, full) = run_full(
+        let (_, full) = run(
             FullConfig {
                 nodes: n,
                 link: quiet_link(),
                 seed: 17,
                 ..FullConfig::default()
             },
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
         let shards = n.div_ceil(m);
-        let (_, rapid) = run_rapidchain(
+        let (_, rapid) = run(
             RapidChainConfig {
                 nodes: n,
                 committee_size: m,
@@ -61,11 +60,10 @@ fn main() {
                 seed: 17,
                 ..RapidChainConfig::default()
             },
-            (blocks / shards).max(1),
-            txs,
-            workload,
-        );
-        let (_, ici) = run_ici(
+            RunSpec::new((blocks / shards).max(1), txs, workload),
+        )
+        .expect("run commits");
+        let (_, ici) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -74,10 +72,9 @@ fn main() {
                 .seed(17)
                 .build()
                 .expect("valid configuration"),
-            blocks,
-            txs,
-            workload,
-        );
+            RunSpec::new(blocks, txs, workload),
+        )
+        .expect("run commits");
 
         for summary in [&full, &rapid, &ici] {
             table.row([

@@ -14,8 +14,8 @@ use ici_cluster::kmeans::{balanced_kmeans, kmeans, random_partition, KMeansConfi
 use ici_cluster::partition::Partition;
 use ici_core::config::{Clustering, IciConfig};
 use ici_net::topology::{Placement, Topology};
-use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 
 fn quality(partition: &Partition, topology: &Topology) -> (f64, f64) {
     let mean = partition.mean_intra_cluster_distance(topology);
@@ -80,7 +80,7 @@ fn main() {
         ("k-means", Clustering::KMeans),
         ("balanced k-means", Clustering::BalancedKMeans),
     ] {
-        let (network, summary) = run_ici(
+        let (network, summary) = run(
             IciConfig::builder()
                 .nodes(n)
                 .cluster_size(c)
@@ -90,10 +90,9 @@ fn main() {
                 .seed(25)
                 .build()
                 .expect("valid configuration"),
-            blocks,
-            txs,
-            standard_workload(25),
-        );
+            RunSpec::new(blocks, txs, standard_workload(25)),
+        )
+        .expect("run commits");
         let mut home: Vec<f64> = network
             .commit_log()
             .iter()

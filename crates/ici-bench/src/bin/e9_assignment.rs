@@ -18,8 +18,8 @@ use ici_core::config::{Assignment, IciConfig};
 use ici_crypto::sha256::{Digest, Sha256};
 use ici_net::node::NodeId;
 use ici_net::topology::Coord;
-use ici_sim::runner::run_ici;
 use ici_sim::table::Table;
+use ici_sim::{run, RunSpec};
 use ici_storage::assignment::{
     churn_disruption, ownership_histogram, AssignmentStrategy, RendezvousAssignment,
     RingAssignment, RoundRobinAssignment,
@@ -105,7 +105,7 @@ fn main() {
         ],
     );
     for (name, _, assignment) in strategies() {
-        let (mut network, _) = run_ici(
+        let (mut network, _) = run(
             IciConfig::builder()
                 .nodes(128)
                 .cluster_size(c)
@@ -115,10 +115,9 @@ fn main() {
                 .seed(33)
                 .build()
                 .expect("valid configuration"),
-            30,
-            30,
-            standard_workload(33),
-        );
+            RunSpec::new(30, 30, standard_workload(33)),
+        )
+        .expect("run commits");
         let report = network
             .bootstrap_node(Coord::new(50.0, 50.0), JoinPolicy::NearestCentroid)
             .expect("join succeeds");

@@ -26,11 +26,8 @@ use ici_baselines::rapidchain::RapidChainConfig;
 use ici_bench::{emit, quiet_link, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig};
-use ici_sim::baseline_faults::{
-    run_full_under_faults, run_rapidchain_under_faults, BaselineFaultSummary,
-};
-use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, FaultRunSummary};
 use ici_sim::table::Table;
+use ici_sim::{run, FaultProfile, FaultSummary, RunSpec, RunSummary};
 use ici_storage::stats::format_bytes;
 
 /// Parses `--seed N` from the process arguments (default 42).
@@ -44,10 +41,9 @@ fn seed_from_args() -> u64 {
 }
 
 /// The shared adversary: every strategy faces this schedule shape.
-fn byz_profile(seed: u64, rounds: usize, min_live: usize) -> FaultProfile {
+fn byz_profile(seed: u64, min_live: usize) -> FaultProfile {
     FaultProfile {
         seed,
-        rounds,
         churn: ChurnConfig {
             crash_prob: 0.03,
             restart_prob: 0.5,
@@ -66,78 +62,6 @@ fn byz_profile(seed: u64, rounds: usize, min_live: usize) -> FaultProfile {
     }
 }
 
-/// One comparison column, shared between ICI and baseline summaries.
-struct Column {
-    name: &'static str,
-    committed: u64,
-    skipped: usize,
-    byz_skipped: usize,
-    equiv_attempts: usize,
-    equiv_detected: usize,
-    equiv_rate: f64,
-    breaches: usize,
-    flips: usize,
-    withholds: usize,
-    liars: usize,
-    liar_rate: f64,
-    wasted: u64,
-    total: u64,
-    min_live: usize,
-    fingerprint: u64,
-}
-
-impl Column {
-    fn from_ici(summary: &FaultRunSummary, total: u64) -> Column {
-        Column {
-            name: "ici",
-            committed: summary.committed_blocks,
-            skipped: summary.skipped_rounds,
-            byz_skipped: summary.byz_skipped_rounds,
-            equiv_attempts: summary.equivocation_attempts,
-            equiv_detected: summary.equivocations_detected,
-            equiv_rate: summary.equivocation_detection_rate(),
-            breaches: summary.safety_breaches,
-            flips: summary.verdict_flips,
-            withholds: summary.verdict_withholds,
-            liars: summary.liars_detected,
-            liar_rate: summary.liar_detection_rate(),
-            wasted: summary.wasted_bytes,
-            total,
-            min_live: summary.min_live_nodes,
-            fingerprint: summary.plan_fingerprint,
-        }
-    }
-
-    fn from_baseline(summary: &BaselineFaultSummary) -> Column {
-        Column {
-            name: summary.strategy,
-            committed: summary.committed_blocks,
-            skipped: summary.skipped_rounds,
-            byz_skipped: summary.byz_skipped_rounds,
-            equiv_attempts: summary.equivocation_attempts,
-            equiv_detected: summary.equivocations_detected,
-            equiv_rate: summary.equivocation_detection_rate(),
-            breaches: summary.safety_breaches,
-            flips: summary.verdict_flips,
-            withholds: summary.verdict_withholds,
-            liars: summary.liars_detected,
-            liar_rate: summary.liar_detection_rate(),
-            wasted: summary.wasted_bytes,
-            total: summary.total_bytes,
-            min_live: summary.min_live_nodes,
-            fingerprint: summary.plan_fingerprint,
-        }
-    }
-
-    fn wasted_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.wasted as f64 / self.total as f64
-        }
-    }
-}
-
 fn main() {
     let scale = Scale::from_args();
     let seed = seed_from_args();
@@ -147,6 +71,10 @@ fn main() {
     };
     let txs_per_block = 30;
 
+    let spec = RunSpec {
+        faults: Some(byz_profile(seed, min_live)),
+        ..RunSpec::new(rounds, txs_per_block, standard_workload(seed))
+    };
     let ici_config = IciConfig::builder()
         .nodes(nodes)
         .cluster_size(cluster_size)
@@ -155,29 +83,14 @@ fn main() {
         .seed(seed)
         .build()
         .expect("valid configuration");
-    let (ici_net, ici) = run_ici_under_faults(
-        ici_config,
-        txs_per_block,
-        standard_workload(seed),
-        byz_profile(seed, rounds, min_live),
-    )
-    .expect("fault plan builds over the formed clusters");
-    let ici_total = ici_net.net().meter().total().bytes;
-
+    let (_, ici) = run(ici_config, spec).expect("fault plan builds over the formed clusters");
     let full_config = FullConfig {
         nodes,
         link: quiet_link(),
         seed,
         ..FullConfig::default()
     };
-    let (_, full) = run_full_under_faults(
-        full_config,
-        txs_per_block,
-        standard_workload(seed),
-        byz_profile(seed, rounds, min_live),
-    )
-    .expect("fault plan builds over the node set");
-
+    let (_, full) = run(full_config, spec).expect("fault plan builds over the node set");
     let rc_config = RapidChainConfig {
         nodes,
         committee_size: cluster_size,
@@ -185,94 +98,76 @@ fn main() {
         seed,
         ..RapidChainConfig::default()
     };
-    let (_, rapidchain) = run_rapidchain_under_faults(
-        rc_config,
-        txs_per_block,
-        standard_workload(seed),
-        byz_profile(seed, rounds, min_live),
-    )
-    .expect("fault plan builds over the committees");
+    let (_, rapidchain) = run(rc_config, spec).expect("fault plan builds over the committees");
 
-    let columns = [
-        Column::from_ici(&ici, ici_total),
-        Column::from_baseline(&full),
-        Column::from_baseline(&rapidchain),
-    ];
-
+    let runs = [&ici, &full, &rapidchain];
+    let sections = |s: &RunSummary| s.faults.clone().expect("faulted run");
     let mut comparison = Table::new(
         format!("E-byz: Byzantine survivability, N={nodes}, c={cluster_size}, seed={seed}"),
         ["metric", "ici", "full", "rapidchain"],
     );
-    let row3 = |t: &mut Table, metric: &str, f: &dyn Fn(&Column) -> String| {
-        t.row([
-            metric.to_string(),
-            f(&columns[0]),
-            f(&columns[1]),
-            f(&columns[2]),
-        ]);
-    };
-    row3(&mut comparison, "committed blocks", &|c| {
-        c.committed.to_string()
-    });
-    row3(&mut comparison, "skipped rounds", &|c| {
-        c.skipped.to_string()
-    });
-    row3(&mut comparison, "rounds lost to Byzantine action", &|c| {
-        c.byz_skipped.to_string()
-    });
-    row3(&mut comparison, "equivocation attempts", &|c| {
-        c.equiv_attempts.to_string()
-    });
-    row3(&mut comparison, "equivocations detected", &|c| {
-        c.equiv_detected.to_string()
-    });
-    row3(&mut comparison, "equivocation detection rate", &|c| {
-        format!("{:.1}%", c.equiv_rate * 100.0)
-    });
-    row3(&mut comparison, "undetected equivocations (hazard)", &|c| {
-        c.breaches.to_string()
-    });
-    row3(&mut comparison, "verdict flips", &|c| c.flips.to_string());
-    row3(&mut comparison, "verdict withholds", &|c| {
-        c.withholds.to_string()
-    });
-    row3(&mut comparison, "lying verifiers named", &|c| {
-        c.liars.to_string()
-    });
-    row3(&mut comparison, "liar detection rate", &|c| {
-        format!("{:.1}%", c.liar_rate * 100.0)
-    });
-    row3(&mut comparison, "wasted bytes (killed blocks)", &|c| {
-        format_bytes(c.wasted)
-    });
-    row3(&mut comparison, "total bytes", &|c| format_bytes(c.total));
-    row3(&mut comparison, "wasted fraction", &|c| {
-        format!("{:.2}%", c.wasted_fraction() * 100.0)
-    });
-    row3(&mut comparison, "min live nodes", &|c| {
-        c.min_live.to_string()
-    });
-    row3(&mut comparison, "fault schedule fingerprint", &|c| {
-        format!("{:016x}", c.fingerprint)
-    });
+    type Metric<'a> = (&'a str, &'a dyn Fn(&RunSummary, &FaultSummary) -> String);
+    let metrics: [Metric; 16] = [
+        ("committed blocks", &|s, _| s.committed_blocks.to_string()),
+        ("skipped rounds", &|_, c| c.skipped_rounds.to_string()),
+        ("rounds lost to Byzantine action", &|_, c| {
+            c.byz_skipped_rounds.to_string()
+        }),
+        ("equivocation attempts", &|_, c| {
+            c.equivocation_attempts.to_string()
+        }),
+        ("equivocations detected", &|_, c| {
+            c.equivocations_detected.to_string()
+        }),
+        ("equivocation detection rate", &|_, c| {
+            format!("{:.1}%", c.equivocation_detection_rate() * 100.0)
+        }),
+        ("undetected equivocations (hazard)", &|_, c| {
+            c.safety_breaches.to_string()
+        }),
+        ("verdict flips", &|_, c| c.verdict_flips.to_string()),
+        ("verdict withholds", &|_, c| c.verdict_withholds.to_string()),
+        ("lying verifiers named", &|_, c| {
+            c.liars_detected.to_string()
+        }),
+        ("liar detection rate", &|_, c| {
+            format!("{:.1}%", c.liar_detection_rate() * 100.0)
+        }),
+        ("wasted bytes (killed blocks)", &|_, c| {
+            format_bytes(c.wasted_bytes)
+        }),
+        ("total bytes", &|_, c| format_bytes(c.total_bytes)),
+        ("wasted fraction", &|_, c| {
+            format!("{:.2}%", c.wasted_fraction() * 100.0)
+        }),
+        ("min live nodes", &|_, c| c.min_live_nodes.to_string()),
+        ("fault schedule fingerprint", &|_, c| {
+            format!("{:016x}", c.plan_fingerprint)
+        }),
+    ];
+    for (metric, cell) in metrics {
+        let cells = runs.iter().map(|s| cell(s, &sections(s)));
+        comparison.row(std::iter::once(metric.to_string()).chain(cells));
+    }
 
+    let byz = sections(&ici);
     let mut detail = Table::new(
         "E-byz: ICI detection detail".to_string(),
         ["metric", "value"],
     );
     detail
-        .row(["clusters".to_string(), ici.clusters.to_string()])
+        .row(["clusters".to_string(), byz.groups.to_string()])
         .row([
             "remote cluster verdicts missed".to_string(),
-            ici.byz_missed_cluster_verdicts.to_string(),
+            byz.byz_missed_cluster_verdicts.to_string(),
         ])
         .row([
             "recovery success rate".to_string(),
-            format!("{:.1}%", ici.recovery_success_rate() * 100.0),
+            format!("{:.1}%", byz.recovery_success_rate() * 100.0),
         ])
         .row([
             "final Merkle audit".to_string(),
-            if ici.final_audit_clean {
+            if byz.final_audit_clean {
                 "clean".to_string()
             } else {
                 "FAILED".to_string()
@@ -283,23 +178,23 @@ fn main() {
     // expose every equivocation (honest witnesses in both audience
     // halves at this scale) without a single undetected split, name
     // every lying verifier, and still finish with clean storage.
-    for c in &columns {
+    for s in runs {
         assert!(
-            c.equiv_attempts > 0,
+            sections(s).equivocation_attempts > 0,
             "vacuous run: `{}` saw no equivocation attempts",
-            c.name
+            s.strategy
         );
     }
     assert!(
-        (ici.equivocation_detection_rate() - 1.0).abs() < f64::EPSILON,
+        (byz.equivocation_detection_rate() - 1.0).abs() < f64::EPSILON,
         "ICI missed an equivocation: {ici:?}"
     );
-    assert_eq!(ici.safety_breaches, 0, "undetected equivocation: {ici:?}");
+    assert_eq!(byz.safety_breaches, 0, "undetected equivocation: {ici:?}");
     assert!(
-        (ici.liar_detection_rate() - 1.0).abs() < f64::EPSILON,
+        (byz.liar_detection_rate() - 1.0).abs() < f64::EPSILON,
         "ICI failed to name a lying verifier: {ici:?}"
     );
-    assert!(ici.final_audit_clean, "final Merkle audit failed");
+    assert!(byz.final_audit_clean, "final Merkle audit failed");
     assert!(
         ici.committed_blocks > 0,
         "Byzantine schedule starved the chain entirely"
@@ -311,7 +206,7 @@ fn main() {
         &format!(
             "scale={scale:?}, N={nodes}, c={cluster_size}, r=2, rounds={rounds}, seed={seed}, \
              equiv=0.25, byz_frac=0.2, flip=0.3, withhold=0.1, plan={:016x}",
-            ici.plan_fingerprint
+            byz.plan_fingerprint
         ),
         &[&comparison, &detail],
     );

@@ -17,8 +17,8 @@
 use ici_bench::{emit, quiet_link, standard_workload, Scale};
 use ici_core::config::IciConfig;
 use ici_faults::plan::{ByzantineConfig, ChurnConfig, MessageFaultSpec, PartitionPolicy};
-use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
 use ici_sim::table::Table;
+use ici_sim::{run, FaultProfile, RunSpec, StageChurn};
 use ici_storage::stats::format_bytes;
 
 /// Parses `--seed N` from the process arguments (default 42).
@@ -49,7 +49,6 @@ fn main() {
         .expect("valid configuration");
     let profile = FaultProfile {
         seed,
-        rounds,
         churn: ChurnConfig {
             crash_prob: 0.04,
             restart_prob: 0.45,
@@ -77,8 +76,12 @@ fn main() {
         stage_churn: StageChurn { interval: 3 },
     };
 
-    let (network, summary) = run_ici_under_faults(config, 30, standard_workload(seed), profile)
-        .expect("fault plan builds over the formed clusters");
+    let spec = RunSpec {
+        faults: Some(profile),
+        ..RunSpec::new(rounds, 30, standard_workload(seed))
+    };
+    let (network, totals) = run(config, spec).expect("fault plan builds over the formed clusters");
+    let summary = totals.faults.as_ref().expect("faulted run");
 
     let mut survivability = Table::new(
         format!("E-fault: survivability under churn, N={nodes}, c={cluster_size}, seed={seed}"),
@@ -92,7 +95,7 @@ fn main() {
         .row(["rounds".to_string(), summary.rounds.to_string()])
         .row([
             "committed blocks".to_string(),
-            summary.committed_blocks.to_string(),
+            totals.committed_blocks.to_string(),
         ])
         .row([
             "skipped rounds (liveness loss)".to_string(),
@@ -145,11 +148,11 @@ fn main() {
         ])
         .row([
             "commit latency p50 (ms)".to_string(),
-            format!("{:.1}", summary.commit_latency.p50_ms),
+            format!("{:.1}", totals.commit_latency.p50_ms),
         ])
         .row([
             "commit latency p95 (ms)".to_string(),
-            format!("{:.1}", summary.commit_latency.p95_ms),
+            format!("{:.1}", totals.commit_latency.p95_ms),
         ])
         .row([
             "final Merkle audit".to_string(),

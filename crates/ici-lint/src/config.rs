@@ -57,6 +57,7 @@ impl Default for Config {
                 "ici-trace",
                 "ici-faults",
                 "ici-prop",
+                "ici-sim",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -85,6 +86,7 @@ impl Default for Config {
                 "ici-faults",
                 "ici-workload",
                 "ici-prop",
+                "ici-sim",
             ]
             .iter()
             .map(|s| s.to_string())

@@ -494,8 +494,8 @@ mod tests {
                 "fn f() { x.unwrap(); }\n",
             ),
             file(
-                "ici-sim",
-                "crates/ici-sim/src/b.rs",
+                "ici-bench",
+                "crates/ici-bench/src/b.rs",
                 "fn g() { y.unwrap(); }\n",
             ),
         ];
@@ -597,8 +597,8 @@ mod tests {
                 "fn id() -> Digest { double_sha256(&self.to_bytes()) }\n",
             ),
             file(
-                "ici-sim",
-                "crates/ici-sim/src/x.rs",
+                "ici-bench",
+                "crates/ici-bench/src/x.rs",
                 "fn id() -> Digest { double_sha256(&self.to_bytes()) }\n",
             ),
         ];

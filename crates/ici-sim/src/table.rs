@@ -39,6 +39,7 @@ impl Table {
         S: Into<String>,
     {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
+        // lint:allow(panic) -- documented `# Panics`: an over-long row is a caller bug in a fixed-layout table
         assert!(
             row.len() <= self.headers.len(),
             "row has {} cells, table has {} columns",

@@ -72,7 +72,6 @@ fn main() {
         .expect("valid configuration");
     let profile = FaultProfile {
         seed: 42,
-        rounds: 12,
         churn: ChurnConfig {
             crash_prob: 0.05,
             restart_prob: 0.5,
@@ -93,23 +92,23 @@ fn main() {
         // walkthrough in `e_byz`, and stage-boundary churn its own
         // showcase in `e_fault`.
         byzantine: ByzantineConfig::default(),
-        stage_churn: ici_sim::fault_run::StageChurn::default(),
+        stage_churn: icistrategy::sim::StageChurn::default(),
     };
-    let (network, summary) = run_ici_under_faults(
-        config,
-        20,
-        WorkloadConfig {
-            accounts: 128,
-            seed: 42,
-            ..WorkloadConfig::default()
-        },
-        profile,
-    )
-    .expect("plan builds over the formed clusters");
+    let workload = WorkloadConfig {
+        accounts: 128,
+        seed: 42,
+        ..WorkloadConfig::default()
+    };
+    let spec = RunSpec {
+        faults: Some(profile),
+        ..RunSpec::new(12, 20, workload)
+    };
+    let (network, totals) = run(config, spec).expect("plan builds over the formed clusters");
+    let summary = totals.faults.as_ref().expect("faulted run");
 
     println!(
         "stop 3: {}/{} rounds committed under churn ({} crashes, {} restarts)",
-        summary.committed_blocks, summary.rounds, summary.crash_events, summary.restart_events,
+        totals.committed_blocks, summary.rounds, summary.crash_events, summary.restart_events,
     );
     println!(
         "        recovery {:.0}% over {} attempts — {} of re-replication, {} cross-cluster fetches",
@@ -120,7 +119,7 @@ fn main() {
     );
     println!(
         "        worst round: {} nodes live, min cluster availability {:.3}; commit p50 {:.1} ms",
-        summary.min_live_nodes, summary.min_availability, summary.commit_latency.p50_ms,
+        summary.min_live_nodes, summary.min_availability, totals.commit_latency.p50_ms,
     );
     println!(
         "        final shard-level Merkle audit: {} ({} shards re-hashed)",

@@ -25,18 +25,17 @@ fn main() {
         ..LinkModel::default()
     };
 
-    let (_, full) = run_full(
+    let (_, full) = run(
         FullConfig {
             nodes,
             link,
             seed: 5,
             ..FullConfig::default()
         },
-        blocks,
-        txs,
-        workload,
-    );
-    let (_, rapid) = run_rapidchain(
+        RunSpec::new(blocks, txs, workload),
+    )
+    .expect("run commits");
+    let (_, rapid) = run(
         RapidChainConfig {
             nodes,
             committee_size: 32, // 4 shards
@@ -44,11 +43,10 @@ fn main() {
             seed: 5,
             ..RapidChainConfig::default()
         },
-        blocks / 4,
-        txs,
-        workload,
-    );
-    let (_, ici) = run_ici(
+        RunSpec::new(blocks / 4, txs, workload),
+    )
+    .expect("run commits");
+    let (_, ici) = run(
         IciConfig::builder()
             .nodes(nodes)
             .cluster_size(16)
@@ -57,10 +55,9 @@ fn main() {
             .seed(5)
             .build()
             .expect("valid configuration"),
-        blocks,
-        txs,
-        workload,
-    );
+        RunSpec::new(blocks, txs, workload),
+    )
+    .expect("run commits");
 
     let mut table = Table::new(
         format!("Shootout: N={nodes}, {blocks} blocks x {txs} txs"),

@@ -24,7 +24,8 @@ fn main() {
         .seed(7)
         .build()
         .expect("valid configuration");
-    let (_network, summary) = run_ici(config, 8, 20, WorkloadConfig::default());
+    let (_network, summary) =
+        run(config, RunSpec::new(8, 20, WorkloadConfig::default())).expect("run commits");
     println!(
         "run: {} blocks, {} txs, {:.1} tps (sim clock)\n",
         summary.committed_blocks, summary.total_txs, summary.throughput_tps

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full gate, exactly as CI runs it. Fail fast: the first failing
-# step aborts the run. Everything here is offline — the workspace has
-# no registry dependencies (enforced by ici-lint's `deps` rule).
+# step aborts the run (the test steps still run every crate before
+# failing, so one flaky test cannot hide another crate's results).
+# Everything here is offline — the workspace has no registry
+# dependencies (enforced by ici-lint's `deps` rule).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,10 +15,10 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test (serial pool, ICI_PAR_THREADS=1)"
-ICI_PAR_THREADS=1 cargo test -q --workspace
+ICI_PAR_THREADS=1 cargo test -q --workspace --no-fail-fast
 
 echo "==> cargo test (4-wide pool, ICI_PAR_THREADS=4)"
-ICI_PAR_THREADS=4 cargo test -q --workspace
+ICI_PAR_THREADS=4 cargo test -q --workspace --no-fail-fast
 
 echo "==> ici-lint"
 cargo run -q -p ici-lint
@@ -30,6 +32,20 @@ cmp results/LINT.check.json results/LINT.json || {
     exit 1
 }
 rm results/LINT.check.json
+
+echo "==> committed records reproduce (every results/e*.json but e_scale)"
+# e_scale has its own shard x thread guard below.
+for bin in e1_storage e2_cluster_sweep e3_communication e4_bootstrap \
+    e5_verification e6_availability e7_throughput e8_clustering \
+    e9_assignment e10_reconfig e11_byzantine; do
+    cargo run -q --release -p ici-bench --bin "$bin" >/dev/null
+done
+cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
+cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
+git diff --exit-code -- results/ || {
+    echo "a committed record drifted; regenerate it with its bin and commit it"
+    exit 1
+}
 
 echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1, pipeline depth 2)"
 # Depth 2 overlaps heights, so the stage machine's occupancy gauges and
@@ -158,22 +174,17 @@ EOF
 # Restore the deterministic (telemetry-free) record the repo commits.
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 
-echo "==> depth x threads determinism (E-fault, pinned seed)"
-ICI_PIPELINE_DEPTH=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
+echo "==> thread determinism (E-fault, pinned seed)"
+# Fault runs never read ICI_PIPELINE_DEPTH (only the fault-free ICI
+# runner does), so the matrix is the pool width alone.
+ICI_PAR_THREADS=1 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 cp results/e_fault.json results/e_fault.ref.json
-for depth in 1 4; do
-    for t in 1 4; do
-        [ "$depth" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
-        cmp results/e_fault.ref.json results/e_fault.json || {
-            echo "e_fault.json diverged at depth=$depth threads=$t"; exit 1;
-        }
-    done
-done
+ICI_PAR_THREADS=4 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
+cmp results/e_fault.ref.json results/e_fault.json || {
+    echo "e_fault.json diverged at threads=4"; exit 1;
+}
 rm results/e_fault.ref.json
-echo "    determinism OK: e_fault.json byte-identical across depth {1,4} x threads {1,4}"
+echo "    determinism OK: e_fault.json byte-identical across threads {1,4}"
 
 echo "==> Byzantine smoke (E-byz, pinned seed, replayed twice)"
 cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
@@ -205,22 +216,15 @@ print(f"    byz smoke OK: byte-identical replay, "
       f"{rows['wasted fraction'][rapidchain]} (rapidchain)")
 EOF
 
-echo "==> depth x threads determinism (E-byz, pinned seed)"
-ICI_PIPELINE_DEPTH=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
+echo "==> thread determinism (E-byz, pinned seed)"
+ICI_PAR_THREADS=1 cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
 cp results/e_byz.json results/e_byz.ref.json
-for depth in 1 4; do
-    for t in 1 4; do
-        [ "$depth" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
-        cmp results/e_byz.ref.json results/e_byz.json || {
-            echo "e_byz.json diverged at depth=$depth threads=$t"; exit 1;
-        }
-    done
-done
+ICI_PAR_THREADS=4 cargo run -q --release -p ici-bench --bin e_byz -- --seed 42 >/dev/null
+cmp results/e_byz.ref.json results/e_byz.json || {
+    echo "e_byz.json diverged at threads=4"; exit 1;
+}
 rm results/e_byz.ref.json
-echo "    determinism OK: e_byz.json byte-identical across depth {1,4} x threads {1,4}"
+echo "    determinism OK: e_byz.json byte-identical across threads {1,4}"
 
 echo "==> scale smoke (E-scale, pinned seed, shards {1,4} x threads {1,4})"
 # The committed record holds only deterministic tables (counts, roots,

@@ -17,8 +17,8 @@ use icistrategy::baselines::analytic::{
 };
 use icistrategy::net::link::LinkModel;
 use icistrategy::prelude::*;
-use icistrategy::sim::runner::RunSummary;
 use icistrategy::sim::table::{fmt_f64, Table};
+use icistrategy::sim::RunSummary;
 use icistrategy::storage::stats::format_bytes;
 
 const HELP: &str = "\
@@ -110,7 +110,8 @@ fn quiet_link() -> LinkModel {
 }
 
 fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
-    match name {
+    let spec = RunSpec::new(opts.blocks, opts.txs, workload(opts.seed));
+    let summary = match name {
         "ici" => {
             let config = IciConfig::builder()
                 .nodes(opts.nodes)
@@ -120,38 +121,33 @@ fn run_strategy(name: &str, opts: &CommonOpts) -> Result<RunSummary, String> {
                 .seed(opts.seed)
                 .build()
                 .map_err(|e| e.to_string())?;
-            Ok(run_ici(config, opts.blocks, opts.txs, workload(opts.seed)).1)
+            run(config, spec).map(|(_, s)| s)
         }
-        "full" => Ok(run_full(
+        "full" => run(
             FullConfig {
                 nodes: opts.nodes,
                 link: quiet_link(),
                 seed: opts.seed,
                 ..FullConfig::default()
             },
-            opts.blocks,
-            opts.txs,
-            workload(opts.seed),
+            spec,
         )
-        .1),
+        .map(|(_, s)| s),
         "rapidchain" => {
             let shards = opts.nodes.div_ceil(opts.cluster_size * 2).max(1);
-            Ok(run_rapidchain(
-                RapidChainConfig {
-                    nodes: opts.nodes,
-                    committee_size: opts.nodes.div_ceil(shards),
-                    link: quiet_link(),
-                    seed: opts.seed,
-                    ..RapidChainConfig::default()
-                },
-                (opts.blocks / shards).max(1),
-                opts.txs,
-                workload(opts.seed),
-            )
-            .1)
+            let config = RapidChainConfig {
+                nodes: opts.nodes,
+                committee_size: opts.nodes.div_ceil(shards),
+                link: quiet_link(),
+                seed: opts.seed,
+                ..RapidChainConfig::default()
+            };
+            let rounds = (opts.blocks / shards).max(1);
+            run(config, RunSpec { rounds, ..spec }).map(|(_, s)| s)
         }
-        other => Err(format!("unknown strategy '{other}' (ici|full|rapidchain)")),
-    }
+        other => return Err(format!("unknown strategy '{other}' (ici|full|rapidchain)")),
+    };
+    summary.map_err(|e| e.to_string())
 }
 
 fn summary_table(title: &str, summaries: &[&RunSummary]) -> Table {

@@ -15,7 +15,7 @@
 //! | [`core`] | `ici-core` | **the paper's contribution**: the ICIStrategy network |
 //! | [`baselines`] | `ici-baselines` | full replication and RapidChain comparators |
 //! | [`workload`] | `ici-workload` | deterministic transaction generators |
-//! | [`sim`] | `ici-sim` | experiment runners, statistics, tables |
+//! | [`sim`] | `ici-sim` | the `Strategy` trait and its one runner, statistics, tables |
 //! | [`faults`] | `ici-faults` | seed-deterministic fault plans, schedulers, injectors |
 //! | [`telemetry`] | `ici-telemetry` | spans, counters, histograms, profiling export |
 //!
@@ -75,7 +75,6 @@ pub mod prelude {
     pub use ici_crypto::{Digest, Keypair, Sha256};
     pub use ici_faults::{FaultPlan, FaultPlanConfig, FaultScheduler};
     pub use ici_net::{Coord, NodeId};
-    pub use ici_sim::fault_run::{run_ici_under_faults, FaultProfile};
-    pub use ici_sim::runner::{run_full, run_ici, run_rapidchain};
+    pub use ici_sim::{run, FaultProfile, RunSpec};
     pub use ici_workload::{WorkloadConfig, WorkloadGenerator};
 }

@@ -31,18 +31,17 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
         seed,
         ..WorkloadConfig::default()
     };
-    let (_, full) = run_full(
+    let (_, full) = run(
         FullConfig {
             nodes: n,
             link: quiet_link(),
             seed: 2,
             ..FullConfig::default()
         },
-        8,
-        20,
-        workload(2),
-    );
-    let (_, rapid) = run_rapidchain(
+        RunSpec::new(8, 20, workload(2)),
+    )
+    .expect("run commits");
+    let (_, rapid) = run(
         RapidChainConfig {
             nodes: n,
             committee_size: 32, // 4 shards
@@ -50,11 +49,10 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
             seed: 2,
             ..RapidChainConfig::default()
         },
-        2,
-        20,
-        workload(2),
-    );
-    let (_, ici) = run_ici(
+        RunSpec::new(2, 20, workload(2)),
+    )
+    .expect("run commits");
+    let (_, ici) = run(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(32)
@@ -63,10 +61,9 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
             .seed(2)
             .build()
             .expect("valid configuration"),
-        8,
-        20,
-        workload(2),
-    );
+        RunSpec::new(8, 20, workload(2)),
+    )
+    .expect("run commits");
 
     // Fractions of each system's own ledger: full = 1, rapid = 1/k,
     // ici ≈ r/c (+ headers).
@@ -86,18 +83,17 @@ fn storage_ordering_ici_below_rapidchain_below_full() {
 #[test]
 fn communication_per_block_ici_below_full_replication() {
     let n = 96;
-    let (_, full) = run_full(
+    let (_, full) = run(
         FullConfig {
             nodes: n,
             link: quiet_link(),
             seed: 3,
             ..FullConfig::default()
         },
-        6,
-        20,
-        workload(3),
-    );
-    let (_, ici) = run_ici(
+        RunSpec::new(6, 20, workload(3)),
+    )
+    .expect("run commits");
+    let (_, ici) = run(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(16)
@@ -106,10 +102,9 @@ fn communication_per_block_ici_below_full_replication() {
             .seed(3)
             .build()
             .expect("valid configuration"),
-        6,
-        20,
-        workload(3),
-    );
+        RunSpec::new(6, 20, workload(3)),
+    )
+    .expect("run commits");
     assert!(
         ici.mean_block_bytes < full.mean_block_bytes / 2.0,
         "ici {} vs full {}",
@@ -122,20 +117,19 @@ fn communication_per_block_ici_below_full_replication() {
 fn bootstrap_ordering_matches_the_abstract() {
     let n = 96;
     let blocks = 20;
-    let (mut full_net, _) = run_full(
+    let (mut full_net, _) = run(
         FullConfig {
             nodes: n,
             link: quiet_link(),
             seed: 4,
             ..FullConfig::default()
         },
-        blocks,
-        20,
-        workload(4),
-    );
+        RunSpec::new(blocks, 20, workload(4)),
+    )
+    .expect("run commits");
     let (full_bytes, _) = full_net.bootstrap_cost();
 
-    let (mut rapid_net, _) = run_rapidchain(
+    let (mut rapid_net, _) = run(
         RapidChainConfig {
             nodes: n,
             committee_size: 24, // 4 shards
@@ -143,13 +137,12 @@ fn bootstrap_ordering_matches_the_abstract() {
             seed: 4,
             ..RapidChainConfig::default()
         },
-        blocks / 4,
-        20,
-        workload(4),
-    );
+        RunSpec::new(blocks / 4, 20, workload(4)),
+    )
+    .expect("run commits");
     let (rapid_bytes, _) = rapid_net.bootstrap_cost(0);
 
-    let (mut ici_net, _) = run_ici(
+    let (mut ici_net, _) = run(
         IciConfig::builder()
             .nodes(n)
             .cluster_size(24)
@@ -158,10 +151,9 @@ fn bootstrap_ordering_matches_the_abstract() {
             .seed(4)
             .build()
             .expect("valid configuration"),
-        blocks,
-        20,
-        workload(4),
-    );
+        RunSpec::new(blocks, 20, workload(4)),
+    )
+    .expect("run commits");
     let join = ici_net
         .bootstrap_node(Coord::new(10.0, 10.0), JoinPolicy::SmallestCluster)
         .expect("join succeeds");
@@ -181,18 +173,17 @@ fn all_strategies_commit_the_same_transactions() {
     // system; each must commit all of them.
     let txs = 18;
     let blocks = 5;
-    let (_, full) = run_full(
+    let (_, full) = run(
         FullConfig {
             nodes: 48,
             link: quiet_link(),
             seed: 6,
             ..FullConfig::default()
         },
-        blocks,
-        txs,
-        workload(6),
-    );
-    let (_, ici) = run_ici(
+        RunSpec::new(blocks, txs, workload(6)),
+    )
+    .expect("run commits");
+    let (_, ici) = run(
         IciConfig::builder()
             .nodes(48)
             .cluster_size(12)
@@ -201,10 +192,9 @@ fn all_strategies_commit_the_same_transactions() {
             .seed(6)
             .build()
             .expect("valid configuration"),
-        blocks,
-        txs,
-        workload(6),
-    );
+        RunSpec::new(blocks, txs, workload(6)),
+    )
+    .expect("run commits");
     assert_eq!(full.total_txs, (blocks * txs) as u64);
     assert_eq!(ici.total_txs, (blocks * txs) as u64);
 }
@@ -214,7 +204,7 @@ fn rapidchain_parallelism_shows_in_throughput() {
     // More shards at the same committee size ⇒ more parallel commits ⇒
     // higher aggregate tps.
     let tps = |nodes: usize| {
-        let (_, summary) = run_rapidchain(
+        let (_, summary) = run(
             RapidChainConfig {
                 nodes,
                 committee_size: 24,
@@ -222,10 +212,9 @@ fn rapidchain_parallelism_shows_in_throughput() {
                 seed: 7,
                 ..RapidChainConfig::default()
             },
-            3,
-            20,
-            workload(7),
-        );
+            RunSpec::new(3, 20, workload(7)),
+        )
+        .expect("run commits");
         summary.throughput_tps
     };
     let two_shards = tps(48);

@@ -12,7 +12,7 @@ use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
-use ici_sim::{run_ici, ExperimentRecord, Table};
+use ici_sim::{run, ExperimentRecord, RunSpec, Table};
 use icistrategy::prelude::*;
 
 /// Runs `f` under a serial pool, then under a 4-wide pool, and returns
@@ -91,15 +91,18 @@ fn trace_exports_are_identical_across_thread_counts() {
             .seed(5)
             .build()
             .expect("valid");
-        let _ = run_ici(
+        let _ = run(
             config,
-            3,
-            5,
-            WorkloadConfig {
-                accounts: 32,
-                ..WorkloadConfig::default()
-            },
-        );
+            RunSpec::new(
+                3,
+                5,
+                WorkloadConfig {
+                    accounts: 32,
+                    ..WorkloadConfig::default()
+                },
+            ),
+        )
+        .expect("run commits");
         let snap = ici_trace::snapshot();
         ici_trace::set_enabled(false);
         ici_trace::reset();
@@ -132,15 +135,18 @@ fn experiment_record_json_is_identical_across_thread_counts() {
             .seed(5)
             .build()
             .expect("valid");
-        let (_, summary) = run_ici(
+        let (_, summary) = run(
             config,
-            3,
-            5,
-            WorkloadConfig {
-                accounts: 32,
-                ..WorkloadConfig::default()
-            },
-        );
+            RunSpec::new(
+                3,
+                5,
+                WorkloadConfig {
+                    accounts: 32,
+                    ..WorkloadConfig::default()
+                },
+            ),
+        )
+        .expect("run commits");
         let mut table = Table::new("determinism probe", ["metric", "value"]);
         table.row([
             "mean storage bytes".to_string(),

@@ -13,8 +13,7 @@
 //! each boundary from one authoritative network).
 
 use ici_faults::plan::ChurnConfig;
-use ici_sim::fault_run::{run_ici_under_faults, FaultProfile, StageChurn};
-use ici_sim::{run_ici, ExperimentRecord, Table};
+use ici_sim::{run, ExperimentRecord, FaultProfile, RunSpec, StageChurn, Table};
 use icistrategy::prelude::*;
 
 /// The depth × thread matrix CI pins: the sequential reference `(1, 1)`
@@ -59,7 +58,7 @@ fn workload() -> WorkloadConfig {
 #[test]
 fn experiment_record_json_is_identical_across_depth_and_threads() {
     let runs = under_matrix(|| {
-        let (_, summary) = run_ici(config(5), 4, 5, workload());
+        let (_, summary) = run(config(5), RunSpec::new(4, 5, workload())).expect("run commits");
         let mut table = Table::new("pipeline determinism probe", ["metric", "value"]);
         table.row([
             "mean storage bytes".to_string(),
@@ -98,7 +97,7 @@ fn trace_export_and_round_series_are_identical_across_depth_and_threads() {
         ici_telemetry::set_enabled(true);
         let _ = ici_telemetry::drain_delta();
         let _ = ici_trace::series::drain();
-        let _ = run_ici(config(5), 3, 5, workload());
+        let _ = run(config(5), RunSpec::new(3, 5, workload())).expect("run commits");
         let snap = ici_trace::snapshot();
         let series = ici_trace::series::drain();
         let _ = ici_telemetry::drain_delta();
@@ -135,7 +134,6 @@ fn trace_export_and_round_series_are_identical_across_depth_and_threads() {
 fn stage_boundary_fault_plan_replays_byte_identically() {
     let profile = FaultProfile {
         seed: 11,
-        rounds: 10,
         churn: ChurnConfig {
             crash_prob: 0.08,
             restart_prob: 0.4,
@@ -146,15 +144,19 @@ fn stage_boundary_fault_plan_replays_byte_identically() {
         ..FaultProfile::default()
     };
     let runs = under_matrix(|| {
-        let (_, summary) =
-            run_ici_under_faults(config(7), 4, workload(), profile).expect("plan builds");
+        let spec = RunSpec {
+            faults: Some(profile),
+            ..RunSpec::new(10, 4, workload())
+        };
+        let (_, summary) = run(config(7), spec).expect("plan builds");
         summary
     });
     let reference = runs[0].1.clone();
+    let faults = reference.faults.as_ref().expect("faulted run");
     assert!(
-        reference.stage_crash_events > 0,
+        faults.stage_crash_events > 0,
         "stage churn never fired: {}",
-        reference.plan_render
+        faults.plan_render
     );
     for ((depth, threads), summary) in &runs {
         assert_eq!(

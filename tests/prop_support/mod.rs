@@ -22,7 +22,7 @@ use ici_prop::Shrink;
 use ici_rng::Xoshiro256;
 use icistrategy::faults::plan::{ByzantineConfig, ChurnConfig};
 use icistrategy::prelude::*;
-use icistrategy::sim::fault_run::FaultRunSummary;
+use icistrategy::sim::FaultSummary;
 
 /// A deployment-plus-fault-schedule scenario, discrete in every knob.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,7 +76,6 @@ impl FaultScenario {
     pub fn profile(&self) -> FaultProfile {
         FaultProfile {
             seed: self.plan_seed,
-            rounds: self.rounds,
             churn: ChurnConfig {
                 crash_prob: self.crash_pct as f64 / 100.0,
                 restart_prob: self.restart_pct as f64 / 100.0,
@@ -107,14 +106,19 @@ impl FaultScenario {
 
     /// Runs the scenario; `None` when it is invalid or the plan cannot
     /// be built over the formed clusters.
-    pub fn run(&self) -> Option<(IciNetwork, FaultRunSummary)> {
+    pub fn run(&self) -> Option<(IciNetwork, FaultSummary)> {
         let config = self.config()?;
         let workload = WorkloadConfig {
             accounts: 32,
             seed: self.net_seed,
             ..WorkloadConfig::default()
         };
-        run_ici_under_faults(config, self.txs_per_block, workload, self.profile()).ok()
+        let spec = RunSpec {
+            faults: Some(self.profile()),
+            ..RunSpec::new(self.rounds, self.txs_per_block, workload)
+        };
+        let (network, summary) = run(config, spec).ok()?;
+        Some((network, summary.faults?))
     }
 }
 
