@@ -164,8 +164,32 @@ mod tests {
         assert!(b.peak_live_bytes >= a.peak_live_bytes);
     }
 
+    /// The live-byte gauge is process-global, so concurrent tests that
+    /// free memory mid-measurement skew it. Unless this test is already
+    /// the only one selected (`--exact` with its full name), it re-runs
+    /// itself that way in a child process and checks the child passed.
     #[test]
     fn peak_live_tracks_high_water_not_current() {
+        let name = module_path!()
+            .split_once("::")
+            .map_or(module_path!(), |(_, path)| path)
+            .to_string()
+            + "::peak_live_tracks_high_water_not_current";
+        let args: Vec<String> = std::env::args().collect();
+        if !(args.iter().any(|a| a == "--exact") && args.contains(&name)) {
+            let exe = std::env::current_exe().expect("test binary path");
+            let out = std::process::Command::new(exe)
+                .args(["--exact", &name, "--test-threads=1"])
+                .output()
+                .expect("re-runs itself");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains(" 1 passed"),
+                "single-test child failed:\n{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
         let before = stats();
         {
             // A buffer well above test noise raises the peak...

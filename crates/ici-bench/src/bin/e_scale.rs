@@ -1,8 +1,8 @@
-//! **E-scale — sharded world state & mempool at the million-account tier.**
+//! **E-scale — world state & mempool at the million-account tier.**
 //!
 //! Sustains zipf-skewed burst traffic from a large funded universe
-//! through the full scale path: sharded fee-market mempool admission,
-//! in-place block building on a sharded [`WorldState`], the incremental
+//! through the full scale path: fee-market mempool admission, in-place
+//! block building on a [`WorldState`], the incremental
 //! v2 (`ShardedV2`) state commitment, and in-place validation on a
 //! second long-lived state. Per-block commitment cost is proportional
 //! to *touched* buckets/accounts — the run asserts it — never to the
@@ -12,8 +12,7 @@
 //! Two output channels, deliberately separate:
 //!
 //! * `results/e_scale.json` — deterministic tables only (counts, roots,
-//!   ratios). Byte-identical across the shards {1,4} × threads {1,4}
-//!   matrix; CI compares them.
+//!   ratios). Byte-identical at threads {1,4}; CI compares them.
 //! * A `SCALE_STATS` stdout line — wall-clock throughput, commit-latency
 //!   percentiles, and the allocator's peak-live-bytes high-water mark.
 //!   Host-dependent, so it feeds the regenerated
@@ -58,7 +57,6 @@ fn main() {
         Scale::Small => (50_000u64, 40u64, 250usize),
         Scale::Paper => (1_000_000, 60, 1_000),
     };
-    let shard_count = ici_chain::shard::state_shards();
     let threads = ici_par::threads();
 
     // Funded universe + two long-lived states: the proposer's and an
@@ -181,13 +179,11 @@ fn main() {
         accounts * 1_000_000,
         "supply not conserved"
     );
-    // Replay the whole chain on a fresh single-shard (sequential
-    // reference) state: contents, flat v1 root, and v2 root must all
-    // agree with the incrementally-maintained sharded run.
-    let mut reference = ici_chain::state::WorldState::with_balances_sharded(
-        genesis_cfg.allocations().iter().copied(),
-        1,
-    );
+    // Replay the whole chain from genesis on a fresh state: contents,
+    // flat v1 root, and v2 root must all agree with the incrementally
+    // maintained run.
+    let mut reference =
+        ici_chain::state::WorldState::with_balances(genesis_cfg.allocations().iter().copied());
     for block in &blocks {
         reference
             .apply_block(block)
@@ -269,7 +265,7 @@ fn main() {
         p99_ns: 0,
     });
     println!(
-        "SCALE_STATS id=E_scale accounts={accounts} shards={shard_count} threads={threads} \
+        "SCALE_STATS id=E_scale accounts={accounts} threads={threads} \
          committed={committed_txs} wall_s={wall_s:.3} tps={:.1} commit_p50_ns={} \
          commit_p90_ns={} commit_p99_ns={} peak_live_bytes={}",
         committed_txs as f64 / wall_s,

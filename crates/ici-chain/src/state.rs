@@ -5,26 +5,24 @@
 //! commitment — the property the collaborative verification protocol relies
 //! on when cluster members cross-check a proposed block's `state_root`.
 //!
-//! # Sharded layout
+//! # Layout and commitments
 //!
-//! Accounts live in `ICI_STATE_SHARDS` physical shards (see
-//! [`crate::shard`]), each an `Arc`-shared `BTreeMap` range-partitioned by
-//! the top bits of the address. Cloning a state is O(shards) `Arc` bumps;
-//! mutation copies only the touched shard (copy-on-write). Two commitments
-//! are available behind versioned domain tags:
+//! Accounts live in one `Arc`-shared `BTreeMap` keyed by address, so
+//! cloning a state is an O(1) `Arc` bump and the first mutation after a
+//! clone copies the map (copy-on-write). Two commitments are available
+//! behind versioned domain tags:
 //!
 //! * [`WorldState::root`] — the flat v1 commitment, a single SHA-256 over
-//!   every account in address order. Byte-identical to the pre-sharding
-//!   implementation (range partitioning preserves global iteration order),
-//!   so committed experiment records do not churn. O(total accounts).
+//!   every account in address order. O(total accounts).
 //! * [`WorldState::sharded_root`] — the v2 commitment: 64 fixed logical
-//!   buckets, each summarised by an incrementally-maintained lattice
-//!   accumulator (order-independent wrapping sums of per-account hashes,
-//!   updated O(1) per touched account), combined as a hash over the 64
-//!   cached bucket roots in bucket order. Only buckets dirtied since the
-//!   last call are re-derived, so per-block commitment cost is
-//!   proportional to touched accounts, not total accounts. The value is
-//!   independent of the physical shard count and thread count.
+//!   buckets (see [`crate::shard`]), each summarised by an
+//!   incrementally-maintained lattice accumulator (order-independent
+//!   wrapping sums of per-account hashes, updated O(1) per touched
+//!   account), combined as a hash over the 64 cached bucket roots in
+//!   bucket order. Only buckets dirtied since the last call are
+//!   re-derived, so per-block commitment cost is proportional to
+//!   touched accounts, not total accounts. The value is independent of
+//!   the thread count.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -34,7 +32,7 @@ use std::sync::Arc;
 use ici_crypto::sha256::{Digest, Sha256};
 
 use crate::block::Block;
-use crate::shard::{self, STATE_BUCKETS};
+use crate::shard::{bucket_of, STATE_BUCKETS};
 use crate::transaction::{Address, Transaction};
 
 /// Balance and sequence number of one account.
@@ -135,7 +133,7 @@ fn acct_hash(address: &Address, acct: &AccountState) -> Digest {
 /// `add` and `sub` are exact inverses, so updating an account is
 /// sub(old) + add(new) — O(1) regardless of bucket size. An account
 /// contributes iff its map entry exists, which keeps the accumulator in
-/// lockstep with the shard maps (entries are created, never deleted).
+/// lockstep with the account map (entries are created, never deleted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct BucketAcc {
     sum: [u64; 4],
@@ -178,20 +176,15 @@ impl BucketAcc {
     }
 }
 
-/// Below this many transactions, a block's signatures are verified
-/// inline — the fan-out overhead would dominate.
-const PAR_SIG_MIN_TXS: usize = 64;
-
 /// The full account state, keyed by address.
 ///
-/// Backed by range-partitioned `BTreeMap` shards so iteration order — and
-/// therefore the state root — is canonical (shard order concatenates to
-/// global address order).
+/// Backed by a `BTreeMap`, so iteration order — and therefore the state
+/// root — is canonical.
 #[derive(Clone, Debug)]
 pub struct WorldState {
-    /// Physical shards in address order; `Arc` so clones are O(shards)
-    /// and mutation copies only the touched shard.
-    shards: Vec<Arc<BTreeMap<Address, AccountState>>>,
+    /// Accounts in address order; `Arc` so clones are O(1) and the
+    /// first mutation after a clone copies the map.
+    accounts: Arc<BTreeMap<Address, AccountState>>,
     /// Lattice accumulator per logical bucket (always [`STATE_BUCKETS`]).
     acc: Vec<BucketAcc>,
     /// Cached v2 bucket roots; `None` marks a bucket dirtied since the
@@ -207,30 +200,19 @@ impl Default for WorldState {
 
 impl PartialEq for WorldState {
     /// Content equality: two states are equal when they hold the same
-    /// accounts, regardless of physical shard count.
+    /// accounts.
     fn eq(&self, other: &WorldState) -> bool {
-        self.len() == other.len() && self.accounts().eq(other.accounts())
+        self.accounts == other.accounts
     }
 }
 
 impl Eq for WorldState {}
 
 impl WorldState {
-    /// An empty state partitioned into the configured
-    /// (`ICI_STATE_SHARDS`) number of physical shards.
+    /// An empty state.
     pub fn new() -> WorldState {
-        WorldState::with_shards(shard::state_shards())
-    }
-
-    /// An empty state with an explicit physical shard count (normalized
-    /// to a power of two in `[1, 64]`), independent of the global knob —
-    /// the deterministic-construction path for tests and experiments.
-    pub fn with_shards(shard_count: usize) -> WorldState {
-        let shard_count = shard::normalize_shards(shard_count);
         WorldState {
-            shards: (0..shard_count)
-                .map(|_| Arc::new(BTreeMap::new()))
-                .collect(),
+            accounts: Arc::new(BTreeMap::new()),
             acc: vec![BucketAcc::default(); STATE_BUCKETS],
             cached: vec![None; STATE_BUCKETS],
         }
@@ -241,29 +223,16 @@ impl WorldState {
     where
         I: IntoIterator<Item = (Address, u64)>,
     {
-        Self::with_balances_sharded(balances, shard::state_shards())
-    }
-
-    /// [`WorldState::with_balances`] with an explicit shard count.
-    pub fn with_balances_sharded<I>(balances: I, shard_count: usize) -> WorldState
-    where
-        I: IntoIterator<Item = (Address, u64)>,
-    {
-        let mut state = WorldState::with_shards(shard_count);
+        let mut state = WorldState::new();
         for (addr, balance) in balances {
             state.update_account(addr, |acct| *acct = AccountState { balance, nonce: 0 });
         }
         state
     }
 
-    /// Number of physical shards backing this state.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Iterates all accounts in global address order.
+    /// Iterates all accounts in address order.
     pub fn accounts(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
-        self.shards.iter().flat_map(|s| s.iter())
+        self.accounts.iter()
     }
 
     /// Read-modify-write on one account through the commitment
@@ -271,10 +240,8 @@ impl WorldState {
     /// accumulator, applies `f`, adds the new leaf hash, and marks the
     /// bucket dirty. Absent accounts start from the default (zero) state.
     fn update_account<F: FnOnce(&mut AccountState)>(&mut self, address: Address, f: F) {
-        let shard_idx = shard::shard_of(&address, self.shards.len());
-        let bucket = shard::bucket_of(&address);
-        let map = Arc::make_mut(&mut self.shards[shard_idx]);
-        match map.entry(address) {
+        let bucket = bucket_of(&address);
+        match Arc::make_mut(&mut self.accounts).entry(address) {
             std::collections::btree_map::Entry::Occupied(mut occupied) => {
                 let old = acct_hash(&address, occupied.get());
                 f(occupied.get_mut());
@@ -295,11 +262,7 @@ impl WorldState {
 
     /// Looks up an account, returning the default (zero) state if absent.
     pub fn account(&self, address: &Address) -> AccountState {
-        let shard_idx = shard::shard_of(address, self.shards.len());
-        self.shards[shard_idx]
-            .get(address)
-            .copied()
-            .unwrap_or_default()
+        self.accounts.get(address).copied().unwrap_or_default()
     }
 
     /// Balance shortcut.
@@ -314,12 +277,12 @@ impl WorldState {
 
     /// Number of accounts with recorded state.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.accounts.len()
     }
 
     /// Whether no account has recorded state.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.accounts.is_empty()
     }
 
     /// Credits `amount` to `address` (used for genesis allocations and fee
@@ -339,12 +302,6 @@ impl WorldState {
         if !tx.verify_signature() {
             return Err(StateError::BadSignature);
         }
-        self.check_presigned(tx)
-    }
-
-    /// [`WorldState::check`] minus signature verification — the path for
-    /// transactions whose signatures were already verified in bulk.
-    fn check_presigned(&self, tx: &Transaction) -> Result<(), StateError> {
         let sender = tx.sender_address();
         let account = self.account(&sender);
         if tx.nonce() != account.nonce {
@@ -368,20 +325,6 @@ impl WorldState {
         Ok(())
     }
 
-    /// Moves the checked transaction's funds (debit sender, credit
-    /// recipient and fee collector).
-    fn apply_mutations(&mut self, tx: &Transaction, fee_collector: Address) {
-        let sender = tx.sender_address();
-        self.update_account(sender, |acct| {
-            acct.balance -= tx.amount() + tx.fee();
-            acct.nonce += 1;
-        });
-        self.credit(tx.recipient(), tx.amount());
-        if tx.fee() > 0 {
-            self.credit(fee_collector, tx.fee());
-        }
-    }
-
     /// Applies `tx`, transferring `amount` to the recipient and `fee` to
     /// `fee_collector`.
     ///
@@ -391,60 +334,19 @@ impl WorldState {
     /// [`WorldState::check`].
     pub fn apply(&mut self, tx: &Transaction, fee_collector: Address) -> Result<(), StateError> {
         self.check(tx)?;
-        self.apply_mutations(tx, fee_collector);
-        Ok(())
-    }
-
-    /// [`WorldState::apply`] for a transaction whose signature was already
-    /// verified (block apply verifies signatures in bulk up front).
-    fn apply_presigned(
-        &mut self,
-        tx: &Transaction,
-        fee_collector: Address,
-    ) -> Result<(), StateError> {
-        self.check_presigned(tx)?;
-        self.apply_mutations(tx, fee_collector);
-        Ok(())
-    }
-
-    /// Verifies every transaction signature of `block`, fanned out over
-    /// the `ici-par` pool grouped by sender shard. Pure per-transaction
-    /// work with index-ordered gathering, so the result — and everything
-    /// downstream — is byte-identical at any shard × thread count.
-    fn verify_signatures(block: &Block) -> Vec<bool> {
-        let txs = block.transactions_shared();
-        let shard_count = shard::state_shards();
-        if txs.len() < PAR_SIG_MIN_TXS || shard_count == 1 {
-            return txs.iter().map(Transaction::verify_signature).collect();
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, tx) in txs.iter().enumerate() {
-            groups[shard::shard_of(&tx.sender_address(), shard_count)].push(i);
-        }
-        let tasks: Vec<(Arc<[Transaction]>, Vec<usize>)> = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .map(|g| (Arc::clone(&txs), g))
-            .collect();
-        let verified = ici_par::par_map(tasks, |_, (txs, indices)| {
-            indices
-                .into_iter()
-                .map(|i| (i, txs[i].verify_signature()))
-                .collect::<Vec<(usize, bool)>>()
+        self.update_account(tx.sender_address(), |acct| {
+            acct.balance -= tx.amount() + tx.fee();
+            acct.nonce += 1;
         });
-        let mut ok = vec![false; txs.len()];
-        for group in verified {
-            for (i, valid) in group {
-                ok[i] = valid;
-            }
+        self.credit(tx.recipient(), tx.amount());
+        if tx.fee() > 0 {
+            self.credit(fee_collector, tx.fee());
         }
-        ok
+        Ok(())
     }
 
-    /// Applies every transaction of `block`, paying fees to the proposer's
-    /// derived address. Signatures are verified up front, fanned out
-    /// per sender shard; the balance machine itself runs sequentially so
-    /// failure semantics match the reference path exactly.
+    /// Applies every transaction of `block` in order, paying fees to the
+    /// proposer's derived address.
     ///
     /// # Errors
     ///
@@ -453,12 +355,8 @@ impl WorldState {
     /// clone first — see [`crate::validation`]).
     pub fn apply_block(&mut self, block: &Block) -> Result<(), (usize, StateError)> {
         let collector = Address::from_seed(block.header().proposer);
-        let sig_ok = Self::verify_signatures(block);
         for (i, tx) in block.transactions().iter().enumerate() {
-            if !sig_ok[i] {
-                return Err((i, StateError::BadSignature));
-            }
-            self.apply_presigned(tx, collector).map_err(|e| (i, e))?;
+            self.apply(tx, collector).map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -466,8 +364,7 @@ impl WorldState {
     /// A canonical commitment to the full state: the SHA-256 over all
     /// `(address, balance, nonce)` triples in address order.
     ///
-    /// This is the flat v1 commitment — O(total accounts), byte-identical
-    /// to the pre-sharding implementation at every shard count.
+    /// This is the flat v1 commitment — O(total accounts).
     pub fn root(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"ici-state-v1:");
@@ -489,7 +386,7 @@ impl WorldState {
     /// dirtied since the last call (cost proportional to touched
     /// buckets, never total accounts) and hashes the 64 bucket roots in
     /// bucket order under the `ici-state-v2:` domain tag. Independent of
-    /// physical shard count and thread count.
+    /// thread count.
     pub fn sharded_root(&mut self) -> Digest {
         let mut recomputed = 0u64;
         for (bucket, slot) in self.cached.iter_mut().enumerate() {
@@ -687,34 +584,24 @@ mod tests {
         assert_eq!(state.total_supply(), 100);
     }
 
-    /// Builds identical states at several shard counts.
-    fn matrix_states(balances: &[(Address, u64)]) -> Vec<WorldState> {
-        [1usize, 2, 4, 64]
-            .iter()
-            .map(|&s| WorldState::with_balances_sharded(balances.iter().copied(), s))
-            .collect()
-    }
-
     #[test]
-    fn roots_are_shard_count_independent() {
+    fn v2_root_is_order_independent_and_domain_separated() {
         let balances: Vec<(Address, u64)> =
             (0..200).map(|s| (Address::from_seed(s), 50 + s)).collect();
-        let mut states = matrix_states(&balances);
-        let v1: Vec<Digest> = states.iter().map(WorldState::root).collect();
-        let v2: Vec<Digest> = states.iter_mut().map(WorldState::sharded_root).collect();
-        assert!(v1.windows(2).all(|w| w[0] == w[1]), "v1 varies with shards");
-        assert!(v2.windows(2).all(|w| w[0] == w[1]), "v2 varies with shards");
-        assert_ne!(v1[0], v2[0], "domain tags must separate v1 and v2");
-        assert!(
-            states.windows(2).all(|w| w[0] == w[1]),
-            "content equality must ignore shard count"
+        let mut forward = WorldState::with_balances(balances.iter().copied());
+        let mut reverse = WorldState::with_balances(balances.iter().rev().copied());
+        assert_eq!(forward.sharded_root(), reverse.sharded_root());
+        assert_eq!(forward, reverse);
+        assert_ne!(
+            forward.root(),
+            forward.sharded_root(),
+            "domain tags must separate v1 and v2"
         );
     }
 
     #[test]
     fn sharded_root_tracks_mutations_incrementally() {
-        let mut state =
-            WorldState::with_balances_sharded((0..100).map(|s| (Address::from_seed(s), 1000)), 4);
+        let mut state = WorldState::with_balances((0..100).map(|s| (Address::from_seed(s), 1000)));
         let before = state.sharded_root();
         assert_eq!(state.dirty_buckets(), 0, "roots cached after computing");
 
@@ -735,25 +622,16 @@ mod tests {
 
         // A from-scratch rebuild of the same contents agrees — the
         // incremental accumulators match a full recompute.
-        let mut rebuilt = WorldState::with_balances_sharded(
+        let mut rebuilt = WorldState::with_balances(
             state
                 .accounts()
                 .map(|(a, st)| (*a, st.balance))
                 .collect::<Vec<_>>(),
-            1,
         );
         // Replay the nonce bump the transfer made.
         let replayed = state.nonce(&Address::from_seed(1));
         assert_eq!(replayed, 1);
         rebuilt.update_account(Address::from_seed(1), |acct| acct.nonce = 1);
         assert_eq!(rebuilt.sharded_root(), after);
-    }
-
-    #[test]
-    fn v2_root_is_empty_state_stable() {
-        assert_eq!(
-            WorldState::with_shards(1).sharded_root(),
-            WorldState::with_shards(64).sharded_root()
-        );
     }
 }

@@ -1,13 +1,12 @@
-//! Determinism suite for the sharded world state and mempool.
+//! Determinism suite for the world state and mempool of the scale tier.
 //!
-//! The scale tier's contract is byte-identity: any physical shard count
-//! × thread count must produce exactly the results of the sequential
-//! single-shard reference — v1 flat roots, v2 bucket roots, block apply
-//! outcomes (including the failure index and the partially-applied
-//! state a mid-block error leaves behind), and mempool admission /
-//! selection order. [`ReferenceMempool`] below is a verbatim copy of
-//! the pre-index full-scan algorithm, kept as the oracle the
-//! fee-ordered indexes are differentially pinned against.
+//! The scale tier's contract is byte-identity: any thread count must
+//! produce exactly the results of the serial pool — v1 flat roots, v2
+//! bucket roots, block apply outcomes (including the failure index and
+//! the partially-applied state a mid-block error leaves behind), and
+//! mempool admission / selection order. [`ReferenceMempool`] below is a
+//! verbatim copy of the pre-index full-scan algorithm, kept as the
+//! oracle the fee-ordered indexes are differentially pinned against.
 
 use std::collections::BTreeMap;
 
@@ -20,9 +19,8 @@ use ici_crypto::sha256::Digest;
 use ici_crypto::sig::Keypair;
 use ici_rng::Xoshiro256;
 
-/// Shard counts exercised everywhere: the sequential reference, the
-/// e_scale CI matrix point, and the one-bucket-per-shard extreme.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 64];
+/// Pool widths exercised: serial and the CI matrix's wide point.
+const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 const ACCOUNTS: u64 = 400;
 const FUNDS: u64 = 1_000_000;
@@ -66,8 +64,8 @@ impl TxGen {
     }
 }
 
-/// Blocks big enough (96 txs) to cross the `PAR_SIG_MIN_TXS` threshold,
-/// so the parallel signature fan-out actually runs when threads > 1.
+/// A block of `txs` at `height`; its roots stay zero, since only
+/// execution is under test.
 fn block_at(height: u64, txs: Vec<Transaction>) -> Block {
     Block::new(
         BlockHeader {
@@ -96,66 +94,60 @@ fn corrupt_payload(tx: &Transaction) -> Transaction {
     mutated
 }
 
-/// Sharded states at every shard × thread combination replay the same
-/// blocks to identical v1 roots, v2 roots, and account contents.
+/// Replaying the same blocks at every thread count yields identical v1
+/// roots, v2 roots, and account contents.
 #[test]
-fn sharded_replay_is_byte_identical_across_matrix() {
+fn replay_is_byte_identical_across_thread_counts() {
     let mut gen = TxGen::new(0x5D01);
     let blocks: Vec<Block> = (1..=6u64)
         .map(|h| block_at(h, (0..96).map(|_| gen.next()).collect()))
         .collect();
 
-    // Sequential reference: one shard, one thread.
-    ici_par::set_threads(1);
-    let mut reference = WorldState::with_balances_sharded(funded(), 1);
-    for block in &blocks {
-        reference.apply_block(block).expect("reference applies");
-    }
-    let v1 = reference.root();
-    let v2 = reference.sharded_root();
-
-    for threads in [1usize, 4] {
-        ici_par::set_threads(threads);
-        for shards in SHARD_COUNTS {
-            let mut state = WorldState::with_balances_sharded(funded(), shards);
-            assert_eq!(state.shard_count(), shards);
+    let replays: Vec<WorldState> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| {
+            ici_par::set_threads(threads);
+            let mut state = WorldState::with_balances(funded());
             for block in &blocks {
                 state
                     .apply_block(block)
-                    .unwrap_or_else(|(i, e)| panic!("s={shards} t={threads} tx {i}: {e}"));
+                    .unwrap_or_else(|(i, e)| panic!("t={threads} tx {i}: {e}"));
             }
-            assert_eq!(state.root(), v1, "v1 root s={shards} t={threads}");
-            assert_eq!(state.sharded_root(), v2, "v2 root s={shards} t={threads}");
-            assert_eq!(state, reference, "contents s={shards} t={threads}");
-        }
-    }
+            state
+        })
+        .collect();
     ici_par::set_threads(1);
+    let mut reference = replays[0].clone();
+    let (v1, v2) = (reference.root(), reference.sharded_root());
+    for (threads, mut state) in THREAD_COUNTS.iter().zip(replays) {
+        assert_eq!(state.root(), v1, "v1 root t={threads}");
+        assert_eq!(state.sharded_root(), v2, "v2 root t={threads}");
+        assert_eq!(state, reference, "contents t={threads}");
+    }
 }
 
 /// A mid-block signature failure reports the same index and leaves the
-/// same partially-applied state at every shard × thread combination.
+/// same partially-applied state at every thread count.
 #[test]
-fn mid_block_failure_is_deterministic_across_matrix() {
+fn mid_block_failure_is_deterministic_across_thread_counts() {
     let mut gen = TxGen::new(0x5D02);
     let mut txs: Vec<Transaction> = (0..96).map(|_| gen.next()).collect();
-    let bad_index = 70; // past the parallel-verify threshold
+    let bad_index = 70;
     txs[bad_index] = corrupt_payload(&txs[bad_index]);
     let block = block_at(1, txs);
 
     ici_par::set_threads(1);
-    let mut reference = WorldState::with_balances_sharded(funded(), 1);
+    let mut reference = WorldState::with_balances(funded());
     let err = reference.apply_block(&block).expect_err("must fail");
     assert_eq!(err, (bad_index, StateError::BadSignature));
 
-    for threads in [1usize, 4] {
+    for threads in THREAD_COUNTS {
         ici_par::set_threads(threads);
-        for shards in SHARD_COUNTS {
-            let mut state = WorldState::with_balances_sharded(funded(), shards);
-            let got = state.apply_block(&block).expect_err("must fail");
-            assert_eq!(got, err, "failure index s={shards} t={threads}");
-            assert_eq!(state, reference, "partial state s={shards} t={threads}");
-            assert_eq!(state.root(), reference.root());
-        }
+        let mut state = WorldState::with_balances(funded());
+        let got = state.apply_block(&block).expect_err("must fail");
+        assert_eq!(got, err, "failure index t={threads}");
+        assert_eq!(state, reference, "partial state t={threads}");
+        assert_eq!(state.root(), reference.root());
     }
     ici_par::set_threads(1);
 }
@@ -321,56 +313,53 @@ impl ReferenceMempool {
     }
 }
 
-/// The indexed pool (at every shard count) is operation-for-operation
-/// identical to the full-scan oracle under random churn: same admission
-/// verdicts, same eviction victims, same pick order, same survivors.
+/// The indexed pool is operation-for-operation identical to the
+/// full-scan oracle under random churn: same admission verdicts, same
+/// eviction victims, same pick order, same survivors.
 #[test]
 fn indexed_pool_matches_full_scan_oracle_under_churn() {
-    for shards in SHARD_COUNTS {
-        let mut rng = Xoshiro256::seed_from_u64(0x5D03);
-        let mut oracle = ReferenceMempool::new(48);
-        let mut pool = Mempool::with_shards(48, shards);
-        assert_eq!(pool.shard_count(), shards);
+    let mut rng = Xoshiro256::seed_from_u64(0x5D03);
+    let mut oracle = ReferenceMempool::new(48);
+    let mut pool = Mempool::new(48);
 
-        for step in 0..600 {
-            match rng.gen_range(0u32..10) {
-                // Mostly inserts: duplicate fees + nonce collisions make
-                // replace-by-fee, ties, and eviction all fire.
-                0..=6 => {
-                    let sender = rng.gen_range(0u64..24);
-                    let nonce = rng.gen_range(0u64..6);
-                    let fee = rng.gen_range(1u64..12);
-                    let tx = Transaction::signed(
-                        &Keypair::from_seed(sender),
-                        Address::from_seed(sender + 500),
-                        1,
-                        fee,
-                        nonce,
-                        Vec::new(),
-                    );
-                    let want = oracle.insert(tx.clone());
-                    let got = pool.insert(tx);
-                    assert_eq!(got, want, "shards={shards} step={step} insert");
-                }
-                7..=8 => {
-                    let max = rng.gen_range(1usize..16);
-                    let want = oracle.take_for_block(max);
-                    let got = pool.take_for_block(max);
-                    assert_eq!(got, want, "shards={shards} step={step} take");
-                }
-                _ => {
-                    let sender = Address::from_seed(rng.gen_range(0u64..24));
-                    let next = rng.gen_range(0u64..7);
-                    let want = oracle.prune_below(&sender, next);
-                    let got = pool.prune_below(&sender, next);
-                    assert_eq!(got, want, "shards={shards} step={step} prune");
-                }
+    for step in 0..600 {
+        match rng.gen_range(0u32..10) {
+            // Mostly inserts: duplicate fees + nonce collisions make
+            // replace-by-fee, ties, and eviction all fire.
+            0..=6 => {
+                let sender = rng.gen_range(0u64..24);
+                let nonce = rng.gen_range(0u64..6);
+                let fee = rng.gen_range(1u64..12);
+                let tx = Transaction::signed(
+                    &Keypair::from_seed(sender),
+                    Address::from_seed(sender + 500),
+                    1,
+                    fee,
+                    nonce,
+                    Vec::new(),
+                );
+                let want = oracle.insert(tx.clone());
+                let got = pool.insert(tx);
+                assert_eq!(got, want, "step={step} insert");
             }
-            assert_eq!(pool.len(), oracle.len, "shards={shards} step={step} len");
+            7..=8 => {
+                let max = rng.gen_range(1usize..16);
+                let want = oracle.take_for_block(max);
+                let got = pool.take_for_block(max);
+                assert_eq!(got, want, "step={step} take");
+            }
+            _ => {
+                let sender = Address::from_seed(rng.gen_range(0u64..24));
+                let next = rng.gen_range(0u64..7);
+                let want = oracle.prune_below(&sender, next);
+                let got = pool.prune_below(&sender, next);
+                assert_eq!(got, want, "step={step} prune");
+            }
         }
-        let drained: Vec<Transaction> = pool.iter().cloned().collect();
-        assert_eq!(drained, oracle.contents(), "shards={shards} survivors");
+        assert_eq!(pool.len(), oracle.len, "step={step} len");
     }
+    let drained: Vec<Transaction> = pool.iter().cloned().collect();
+    assert_eq!(drained, oracle.contents(), "survivors");
 }
 
 /// `fee_floor` always equals the oracle's full-scan cheapest fee.
@@ -378,7 +367,7 @@ fn indexed_pool_matches_full_scan_oracle_under_churn() {
 fn fee_floor_matches_full_scan_minimum() {
     let mut rng = Xoshiro256::seed_from_u64(0x5D04);
     let mut oracle = ReferenceMempool::new(64);
-    let mut pool = Mempool::with_shards(64, 4);
+    let mut pool = Mempool::new(64);
     for _ in 0..200 {
         let sender = rng.gen_range(0u64..16);
         let nonce = rng.gen_range(0u64..8);

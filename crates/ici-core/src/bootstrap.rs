@@ -11,7 +11,9 @@
 //!
 //! With rendezvous assignment the recomputation also tells the *previous*
 //! owners which bodies they may prune; the protocol executes those prunes
-//! so storage stays at `r` replicas per cluster, not `r + ε`.
+//! so storage stays at `r` replicas per cluster, not `r + ε`. A prune
+//! runs only while a live owner holds the body, so a join never removes
+//! a cluster's last live copy of a height.
 
 use ici_chain::block::BlockHeader;
 use ici_cluster::membership::JoinPolicy;
@@ -143,7 +145,16 @@ impl IciNetwork {
                 bodies += 1;
             }
 
-            // Prune members that are no longer owners.
+            // Prune members that are no longer owners, but only once a
+            // live owner holds the body: an owner may be crashed, or
+            // (under a reshuffling assignment) may never have received
+            // it, and the pruned copy may be the cluster's last live one.
+            let held_by_live_owner = owners_now
+                .iter()
+                .any(|o| self.net.is_up(*o) && self.holdings[o.index()].has_body(height));
+            if !held_by_live_owner {
+                continue;
+            }
             for member in &new_members {
                 if *member == node || owners_now.contains(member) {
                     continue;
@@ -182,22 +193,35 @@ impl IciNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IciConfig;
+    use crate::config::{Assignment, IciConfig};
     use ici_chain::genesis::GenesisConfig;
     use ici_chain::transaction::{Address, Transaction};
+    use ici_cluster::partition::ClusterId;
     use ici_crypto::sig::Keypair;
 
     fn network_with_blocks(blocks: u64) -> IciNetwork {
+        network_with(Assignment::Rendezvous, blocks)
+    }
+
+    fn network_with(assignment: Assignment, blocks: u64) -> IciNetwork {
         let config = IciConfig::builder()
             .nodes(24)
             .cluster_size(8)
             .replication(2)
+            .assignment(assignment)
             .genesis(GenesisConfig::uniform(32, 10_000_000))
             .seed(11)
             .build()
             .expect("valid");
         let mut net = IciNetwork::new(config).expect("constructs");
-        for round in 0..blocks {
+        commit_rounds(&mut net, 0..blocks);
+        net
+    }
+
+    /// Commits one block per round; round `k` uses nonce `k` for every
+    /// sender, so rounds must run in order from 0.
+    fn commit_rounds(net: &mut IciNetwork, rounds: std::ops::Range<u64>) {
+        for round in rounds {
             let txs: Vec<Transaction> = (0..6)
                 .map(|i| {
                     Transaction::signed(
@@ -212,7 +236,12 @@ mod tests {
                 .collect();
             net.propose_block(txs).expect("commits");
         }
-        net
+    }
+
+    fn assert_all_intact(net: &IciNetwork, when: &str) {
+        for report in net.audit_all() {
+            assert!(report.is_intact(), "{when}: {report:?}");
+        }
     }
 
     #[test]
@@ -300,5 +329,55 @@ mod tests {
             .expect("joins");
         let after = net.net().meter().kind(MessageKind::Bootstrap).bytes;
         assert_eq!(after - before, report.total_bytes());
+    }
+
+    /// Regression: a join recomputed ownership over crashed members too
+    /// and pruned every live non-owner, so a height whose owners were
+    /// both down lost its only live copy (a repair replica).
+    #[test]
+    fn join_after_crash_keeps_every_height_live() {
+        let mut net = network_with_blocks(0);
+        // SmallestCluster picks the lowest id among equal-sized clusters.
+        let cluster = ClusterId::new(0);
+        assert!(net
+            .clusters()
+            .iter()
+            .all(|c| net.live_members(*c).len() >= net.live_members(cluster).len()));
+        let first = net.live_members(cluster)[0];
+        net.crash_node(first).expect("known node");
+        commit_rounds(&mut net, 0..8);
+        // A height `first` owns went to its co-owner alone; repair adds a
+        // replica on a live non-owner. Crashing the co-owner leaves that
+        // replica as the height's only live copy.
+        let (height, co_owner) = (1..net.chain_len())
+            .find_map(|h| {
+                let id = net.block(h).expect("committed").id();
+                let owners = net.owners_in_cluster(cluster, &id, h);
+                owners
+                    .contains(&first)
+                    .then(|| owners.into_iter().find(|o| *o != first))
+                    .flatten()
+                    .map(|o| (h, o))
+            })
+            .expect("the crashed member owns some height");
+        net.repair_all();
+        net.crash_node(co_owner).expect("known node");
+        assert_all_intact(&net, "before the join");
+
+        let report = net
+            .bootstrap_node(Coord::new(50.0, 50.0), JoinPolicy::SmallestCluster)
+            .expect("joins");
+        assert_eq!(report.cluster, cluster.get());
+        assert_all_intact(&net, &format!("after the join (height {height})"));
+    }
+
+    /// Round-robin striping reshuffles owners when a member joins, so a
+    /// new owner may not hold a body yet; its old live holders stay.
+    #[test]
+    fn round_robin_join_keeps_every_height_live() {
+        let mut net = network_with(Assignment::RoundRobin, 24);
+        net.bootstrap_node(Coord::new(40.0, 40.0), JoinPolicy::SmallestCluster)
+            .expect("joins");
+        assert_all_intact(&net, "after the join");
     }
 }

@@ -7,9 +7,13 @@
 //!    the height, and a second lottery picks the leader inside it; both are
 //!    deterministic from the parent block id, so no election traffic.
 //! 2. **Intra-cluster commit** — the leader ships the body only to the
-//!    cluster's `r` assigned owners and the header to everyone else; every
-//!    member verifies a `1/c` slice of the signatures (collaborative
-//!    verification) and the cluster runs a PBFT-style vote exchange.
+//!    cluster's `r` assigned owners and the header to everyone else, and
+//!    the cluster runs a PBFT-style vote exchange. Collaborative
+//!    verification — every member checking a `1/c` slice of the
+//!    signatures — is charged as each member's validation time through
+//!    `CostModel::collaborative_member_validation`; the stages never call
+//!    [`IciNetwork::collaborative_verify`], whose verdict logic lives in
+//!    [`crate::verify`].
 //! 3. **Cross-cluster dissemination** — the leader forwards the full block
 //!    plus the commit certificate to each remote cluster's leader, which
 //!    repeats step 2 locally: bodies to its own `r` owners, headers to the
@@ -45,7 +49,7 @@
 //! `start_time_offsets_everything` test). The sequential composition
 //! [`IciNetwork::propose_block`] uses the same stage functions and the
 //! same trace capture/shift mechanics as the pipelined driver, so a
-//! depth-1 run is byte-identical to a depth-N run.
+//! sequential run is byte-identical to a pipelined one at any depth.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -31,9 +31,8 @@ pub struct Config {
     pub determinism_crates: Vec<String>,
     /// Path substrings (forward slashes) sanctioned to read the process
     /// environment (`env-read` rule). Reserved for configuration entry
-    /// points like the ici-par thread-count and pipeline-depth
-    /// overrides (`ICI_PAR_THREADS`, `ICI_PIPELINE_DEPTH`), both
-    /// scheduling-only.
+    /// points like the ici-par thread-count override
+    /// (`ICI_PAR_THREADS`), which is scheduling-only.
     pub env_read_files: Vec<String>,
     /// Crates allowed to spawn OS threads (`rogue-thread` rule). The
     /// lifecycle stage machine borrows its workers from ici-par's
@@ -97,7 +96,6 @@ impl Default for Config {
                 "ici-trace/src/lib.rs",
                 "ici-bench/src/alloc.rs",
                 "ici-bench/src/harness.rs",
-                "ici-chain/src/shard.rs",
             ]
             .iter()
             .map(|s| s.to_string())

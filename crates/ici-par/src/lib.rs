@@ -150,46 +150,12 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Environment variable sizing the block-lifecycle pipeline at first
-/// use: how many heights may be in flight across the stage machine.
-/// `1` forces the sequential reference path; `0` or unset means
-/// "match the effective thread count" ([`threads`]).
-pub const PIPELINE_ENV_VAR: &str = "ICI_PIPELINE_DEPTH";
-
-/// Configured pipeline depth; `0` means "follow [`threads`]".
-static PIPELINE_DEPTH: AtomicUsize = AtomicUsize::new(0);
-static PIPELINE_ENV_READ: AtomicUsize = AtomicUsize::new(0);
-
-/// The configured block-pipeline depth (resolving `ICI_PIPELINE_DEPTH`
-/// on first use). With no explicit override the depth follows the
-/// *current* [`threads`] value, so `set_threads(1)` also forces the
-/// sequential lifecycle — committed artifacts are byte-identical at
-/// every depth, so this only changes scheduling.
+/// How many heights the block-lifecycle pipeline keeps in flight: the
+/// current [`threads`] value, so `set_threads(1)` also selects the
+/// sequential lifecycle. Committed artifacts are byte-identical at every
+/// depth, so this only changes scheduling.
 pub fn pipeline_depth() -> usize {
-    let current = PIPELINE_DEPTH.load(Ordering::Relaxed);
-    if current != 0 {
-        return current;
-    }
-    if PIPELINE_ENV_READ.swap(1, Ordering::Relaxed) == 0 {
-        let from_env = std::env::var(PIPELINE_ENV_VAR)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        if let Some(n) = from_env {
-            let n = n.min(MAX_THREADS);
-            PIPELINE_DEPTH.store(n, Ordering::Relaxed);
-            return n;
-        }
-    }
     threads()
-}
-
-/// Overrides the pipeline depth (clamped to `MAX_THREADS`); `0` reverts
-/// to the default of following [`threads`]. Scheduling-only, like
-/// [`set_threads`].
-pub fn set_pipeline_depth(n: usize) {
-    PIPELINE_ENV_READ.store(1, Ordering::Relaxed);
-    PIPELINE_DEPTH.store(n.min(MAX_THREADS), Ordering::Relaxed);
 }
 
 /// Handle for spawning named, scoped pipeline-stage workers.
@@ -629,21 +595,6 @@ mod tests {
         assert_eq!(threads(), MAX_THREADS);
         set_threads(4);
         assert_eq!(threads(), 4);
-    }
-
-    #[test]
-    fn pipeline_depth_override_and_default() {
-        set_pipeline_depth(2);
-        assert_eq!(pipeline_depth(), 2);
-        set_pipeline_depth(MAX_THREADS + 5);
-        assert_eq!(pipeline_depth(), MAX_THREADS);
-        set_pipeline_depth(0);
-        // Default follows the effective thread count (some positive
-        // value; other tests race on the exact number).
-        assert!(pipeline_depth() >= 1);
-        set_pipeline_depth(4);
-        assert_eq!(pipeline_depth(), 4);
-        set_pipeline_depth(0);
     }
 
     #[test]

@@ -913,17 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn jittery_summary_is_pipeline_depth_invariant() {
-        let spec = RunSpec::new(4, 5, workload());
-        ici_par::set_pipeline_depth(1);
-        let (_, serial) = run(jittery(), spec).expect("run");
-        ici_par::set_pipeline_depth(4);
-        let (_, piped) = run(jittery(), spec).expect("run");
-        ici_par::set_pipeline_depth(0);
-        assert_eq!(serial, piped, "summary must not depend on pipeline depth");
-    }
-
-    #[test]
     fn same_seed_same_summary() {
         let (_, a) = run(ici(16, 8), RunSpec::new(3, 4, workload())).expect("run");
         let (_, b) = run(ici(16, 8), RunSpec::new(3, 4, workload())).expect("run");

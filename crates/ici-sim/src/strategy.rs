@@ -215,7 +215,8 @@ impl Strategy for IciNetwork {
     }
 
     /// Fault-free ICI runs go through the pipelined lifecycle, keeping
-    /// up to `ICI_PIPELINE_DEPTH` heights in flight.
+    /// up to [`ici_par::pipeline_depth`] (the thread count) heights in
+    /// flight.
     fn commit_rounds(
         &mut self,
         rounds: Vec<Vec<Vec<Transaction>>>,

@@ -80,6 +80,16 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Serializes the unit tests that flip the process-global enable flag,
+/// so one test's `set_enabled(false)` cannot land mid-way through
+/// another's recording.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Whether telemetry collection is currently on.
 #[inline]
 pub fn enabled() -> bool {
@@ -191,6 +201,7 @@ mod tests {
 
     #[test]
     fn enable_flag_round_trips() {
+        let _lock = crate::test_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);
@@ -225,6 +236,7 @@ mod tests {
 
     #[test]
     fn init_from_env_defaults_off() {
+        let _lock = crate::test_lock();
         std::env::remove_var(ENV_VAR);
         set_enabled(false);
         assert!(!init_from_env());

@@ -20,6 +20,14 @@ ICI_PAR_THREADS=1 cargo test -q --workspace --no-fail-fast
 echo "==> cargo test (4-wide pool, ICI_PAR_THREADS=4)"
 ICI_PAR_THREADS=4 cargo test -q --workspace --no-fail-fast
 
+echo "==> race check (telemetry + bench unit tests, 10x at 8 test threads)"
+# Both crates' tests touch process-global state (the telemetry enable
+# flag, the allocator's live-byte gauge); repeating them on a wide test
+# runner surfaces a new race here rather than as a rare flake.
+for _ in $(seq 10); do
+    cargo test -q -p ici-telemetry -p ici-bench --lib -- --test-threads=8
+done
+
 echo "==> ici-lint"
 cargo run -q -p ici-lint
 
@@ -47,10 +55,11 @@ git diff --exit-code -- results/ || {
     exit 1
 }
 
-echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1, pipeline depth 2)"
-# Depth 2 overlaps heights, so the stage machine's occupancy gauges and
-# stage spans must show up in the telemetry section.
-ICI_TELEMETRY=1 ICI_PIPELINE_DEPTH=2 cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
+echo "==> telemetry smoke (E1 with ICI_TELEMETRY=1, 2 threads)"
+# Two threads give pipeline depth 2, which overlaps heights, so the stage
+# machine's occupancy gauges and stage spans must show up in the
+# telemetry section.
+ICI_TELEMETRY=1 ICI_PAR_THREADS=2 cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
 python3 - <<'EOF'
 import json
 with open("results/e1.json") as f:
@@ -79,31 +88,29 @@ print(f"    series OK: {len(series)} runs, "
       f"{sum(len(s['samples']) for s in series)} round samples")
 EOF
 
-echo "==> causal trace smoke (E1 with ICI_TRACE=1, depth {1,4} x threads {1,4})"
-# Depth- and thread-count determinism: the canonical event log and the
-# Chrome export must come out byte-identical whether the lifecycle runs
-# sequentially (depth 1, the reference path) or overlapped (depth 4),
-# on a serial or a 4-wide pool — and the canonical log must match the
-# committed baseline at every matrix point.
+echo "==> causal trace smoke (E1 with ICI_TRACE=1, threads {1,4})"
+# Thread-count determinism: the canonical event log and the Chrome
+# export must come out byte-identical whether the lifecycle runs
+# sequentially (1 thread, pipeline depth 1, the reference path) or
+# overlapped (4 threads, depth 4) — and the canonical log must match
+# the committed baseline at both points.
 first=1
-for depth in 1 4; do
-    for t in 1 4; do
-        ICI_TRACE=1 ICI_PIPELINE_DEPTH=$depth ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
-        if [ "$first" = 1 ]; then
-            cp results/TRACE_e1.chrome.json results/TRACE_e1.chrome.ref.json
-            first=0
-        else
-            cmp results/TRACE_e1.chrome.ref.json results/TRACE_e1.chrome.json || {
-                echo "chrome trace diverged at depth=$depth threads=$t"; exit 1;
-            }
-        fi
-        git diff --quiet -- results/TRACE_e1.json || {
-            echo "trace drifted from committed results/TRACE_e1.json at depth=$depth threads=$t;"
-            echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
-            exit 1
+for t in 1 4; do
+    ICI_TRACE=1 ICI_PAR_THREADS=$t \
+        cargo run -q --release -p ici-bench --bin e1_storage >/dev/null
+    if [ "$first" = 1 ]; then
+        cp results/TRACE_e1.chrome.json results/TRACE_e1.chrome.ref.json
+        first=0
+    else
+        cmp results/TRACE_e1.chrome.ref.json results/TRACE_e1.chrome.json || {
+            echo "chrome trace diverged at threads=$t"; exit 1;
         }
-    done
+    fi
+    git diff --quiet -- results/TRACE_e1.json || {
+        echo "trace drifted from committed results/TRACE_e1.json at threads=$t;"
+        echo "regenerate with  ICI_TRACE=1 cargo run -q --release -p ici-bench --bin e1_storage"
+        exit 1
+    }
 done
 rm results/TRACE_e1.chrome.ref.json
 # Tracing must never leak into the result record itself.
@@ -129,7 +136,7 @@ with open("results/TRACE_e1.json") as f:
 assert canonical["dropped"] == 0, "e1 trace overflowed the event ring"
 assert len(canonical["events"]) == len(slices), "canonical/chrome event counts differ"
 print(f"    trace OK: {len(slices)} events on {len(last)} tracks, "
-      f"byte-identical across depth {{1,4}} x threads {{1,4}}")
+      f"byte-identical across threads {{1,4}}")
 EOF
 rm results/TRACE_e1.chrome.json
 
@@ -175,8 +182,6 @@ EOF
 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 
 echo "==> thread determinism (E-fault, pinned seed)"
-# Fault runs never read ICI_PIPELINE_DEPTH (only the fault-free ICI
-# runner does), so the matrix is the pool width alone.
 ICI_PAR_THREADS=1 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
 cp results/e_fault.json results/e_fault.ref.json
 ICI_PAR_THREADS=4 cargo run -q --release -p ici-bench --bin e_fault -- --seed 42 >/dev/null
@@ -226,32 +231,23 @@ cmp results/e_byz.ref.json results/e_byz.json || {
 rm results/e_byz.ref.json
 echo "    determinism OK: e_byz.json byte-identical across threads {1,4}"
 
-echo "==> scale smoke (E-scale, pinned seed, shards {1,4} x threads {1,4})"
+echo "==> scale smoke (E-scale, pinned seed, threads {1,4})"
 # The committed record holds only deterministic tables (counts, roots,
-# ratios); every shard x thread matrix point must reproduce it byte for
-# byte. Host-dependent numbers ride the SCALE_STATS stdout line instead.
-ICI_STATE_SHARDS=1 ICI_PAR_THREADS=1 \
-    cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
-git diff --quiet -- results/e_scale.json || {
-    echo "E-scale drifted from committed results/e_scale.json; regenerate with"
-    echo "  cargo run -q --release -p ici-bench --bin e_scale -- --seed 42"
-    exit 1
-}
-for s in 1 4; do
-    for t in 1 4; do
-        [ "$s" = 1 ] && [ "$t" = 1 ] && continue
-        ICI_STATE_SHARDS=$s ICI_PAR_THREADS=$t \
-            cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
-        git diff --quiet -- results/e_scale.json || {
-            echo "e_scale.json diverged at shards=$s threads=$t"; exit 1;
-        }
-    done
+# ratios); both thread counts must reproduce it byte for byte.
+# Host-dependent numbers ride the SCALE_STATS stdout line instead.
+for t in 1 4; do
+    ICI_PAR_THREADS=$t \
+        cargo run -q --release -p ici-bench --bin e_scale -- --seed 42 >/dev/null
+    git diff --quiet -- results/e_scale.json || {
+        echo "e_scale.json diverged at threads=$t; if the change is intended,"
+        echo "regenerate with  cargo run -q --release -p ici-bench --bin e_scale -- --seed 42"
+        exit 1
+    }
 done
-echo "    determinism OK: e_scale.json byte-identical across shards {1,4} x threads {1,4}"
+echo "    determinism OK: e_scale.json byte-identical across threads {1,4}"
 
-echo "==> scale bench (E-scale, 4 shards x 4 threads, peak-live ceiling)"
-SCALE_OUT=$(ICI_STATE_SHARDS=4 ICI_PAR_THREADS=4 ICI_ALLOC_STATS=1 \
-    ./target/release/e_scale --seed 42)
+echo "==> scale bench (E-scale, 4 threads, peak-live ceiling)"
+SCALE_OUT=$(ICI_PAR_THREADS=4 ICI_ALLOC_STATS=1 ./target/release/e_scale --seed 42)
 git diff --quiet -- results/e_scale.json || {
     echo "instrumented scale run changed committed results/e_scale.json"; exit 1;
 }
@@ -272,7 +268,6 @@ record = {
     "title": "E-scale: throughput, commit latency, and peak live heap",
     "host_cpus": host_cpus,
     "effective_threads": int(fields["threads"]),
-    "shards": int(fields["shards"]),
     "peak_live_ceiling_bytes": CEILING,
     "runs": [{
         "bin": "e_scale",

@@ -1,10 +1,10 @@
-//! Pipeline-depth invariance: overlapping heights across the staged
-//! block lifecycle (`ICI_PIPELINE_DEPTH`) must never change a byte of
-//! what the experiments report — at any depth, on a serial or a wide
-//! `ici-par` pool.
+//! Pipeline determinism: overlapping heights across the staged block
+//! lifecycle must never change a byte of what the experiments report.
+//! The pipeline keeps [`ici_par::pipeline_depth`] heights in flight,
+//! which is the thread count, so one thread is the sequential reference
+//! path and wider pools overlap heights.
 //!
-//! These are the end-to-end guarantees behind the CI depth×threads
-//! matrix: the depth-1 sequential path is the reference implementation,
+//! These are the end-to-end guarantees behind the CI thread matrix:
 //! every stage draws only from forks seeded at build time, heights
 //! commit strictly in order, and stage trace/telemetry deltas merge at
 //! the commit sync point in fixed order. The stage-boundary fault case
@@ -16,22 +16,20 @@ use ici_faults::plan::ChurnConfig;
 use ici_sim::{run, ExperimentRecord, FaultProfile, RunSpec, StageChurn, Table};
 use icistrategy::prelude::*;
 
-/// The depth × thread matrix CI pins: the sequential reference `(1, 1)`
-/// plus overlapped heights on serial and wide pools.
-const MATRIX: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 1), (2, 4), (4, 1), (4, 4)];
+/// Thread counts pinned: the sequential reference path first, then
+/// depths 2 and 4.
+const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Runs `f` at every matrix point, tagging each result, and restores
-/// the defaults afterwards.
-fn under_matrix<T>(f: impl Fn() -> T) -> Vec<((usize, usize), T)> {
-    let results = MATRIX
+/// Runs `f` at every thread count, tagging each result, and restores
+/// the serial pool afterwards.
+fn under_threads<T>(f: impl Fn() -> T) -> Vec<(usize, T)> {
+    let results = THREADS
         .iter()
-        .map(|&(depth, threads)| {
-            ici_par::set_pipeline_depth(depth);
+        .map(|&threads| {
             ici_par::set_threads(threads);
-            ((depth, threads), f())
+            (threads, f())
         })
         .collect();
-    ici_par::set_pipeline_depth(0);
     ici_par::set_threads(1);
     results
 }
@@ -56,8 +54,8 @@ fn workload() -> WorkloadConfig {
 }
 
 #[test]
-fn experiment_record_json_is_identical_across_depth_and_threads() {
-    let runs = under_matrix(|| {
+fn pipelined_record_json_is_identical_across_thread_counts() {
+    let runs = under_threads(|| {
         let (_, summary) = run(config(5), RunSpec::new(4, 5, workload())).expect("run commits");
         let mut table = Table::new("pipeline determinism probe", ["metric", "value"]);
         table.row([
@@ -72,26 +70,20 @@ fn experiment_record_json_is_identical_across_depth_and_threads() {
             "final clock ms".to_string(),
             format!("{:.6}", summary.final_clock_ms),
         ]);
-        ExperimentRecord::new(
-            "EPIPE",
-            "pipeline-depth determinism",
-            "N=24 c=8 r=2",
-            &[&table],
-        )
-        .to_json()
+        ExperimentRecord::new("EPIPE", "pipeline determinism", "N=24 c=8 r=2", &[&table]).to_json()
     });
     let reference = runs[0].1.clone();
-    for ((depth, threads), json) in &runs {
+    for (threads, json) in &runs {
         assert_eq!(
             *json, reference,
-            "record JSON diverged at depth {depth} × threads {threads}"
+            "record JSON diverged at {threads} threads"
         );
     }
 }
 
 #[test]
-fn trace_export_and_round_series_are_identical_across_depth_and_threads() {
-    let runs = under_matrix(|| {
+fn pipelined_trace_and_round_series_are_identical_across_thread_counts() {
+    let runs = under_threads(|| {
         ici_trace::set_enabled(true);
         ici_trace::reset();
         ici_telemetry::set_enabled(true);
@@ -119,8 +111,8 @@ fn trace_export_and_round_series_are_identical_across_depth_and_threads() {
         reference.2.contains("\"samples\""),
         "run registered no per-round series"
     );
-    for ((depth, threads), (canonical, chrome, series)) in &runs {
-        let at = format!("depth {depth} × threads {threads}");
+    for (threads, (canonical, chrome, series)) in &runs {
+        let at = format!("{threads} threads");
         assert_eq!(
             *canonical, reference.0,
             "canonical event log diverged at {at}"
@@ -143,7 +135,7 @@ fn stage_boundary_fault_plan_replays_byte_identically() {
         stage_churn: StageChurn { interval: 2 },
         ..FaultProfile::default()
     };
-    let runs = under_matrix(|| {
+    let runs = under_threads(|| {
         let spec = RunSpec {
             faults: Some(profile),
             ..RunSpec::new(10, 4, workload())
@@ -158,10 +150,10 @@ fn stage_boundary_fault_plan_replays_byte_identically() {
         "stage churn never fired: {}",
         faults.plan_render
     );
-    for ((depth, threads), summary) in &runs {
+    for (threads, summary) in &runs {
         assert_eq!(
             *summary, reference,
-            "fault replay diverged at depth {depth} × threads {threads}"
+            "fault replay diverged at {threads} threads"
         );
     }
 }
