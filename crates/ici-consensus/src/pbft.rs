@@ -187,7 +187,9 @@ where
 /// Runs `rounds` successive all-to-all vote exchanges starting from
 /// `ready` (per-member readiness times), with quorum `q` per round.
 /// Returns the final per-member quorum times. Used directly by consensus
-/// variants that handle dissemination themselves (e.g. IDA-gossip).
+/// variants that handle dissemination themselves (RapidChain's
+/// IDA-gossip committees); each round is one [`vote_round`], so quiet
+/// networks take its one-pass broadcast.
 pub fn run_vote_rounds(
     net: &mut Network,
     members: &[NodeId],
@@ -202,25 +204,20 @@ pub fn run_vote_rounds(
     times
 }
 
-/// Voters per network fork in a vote round. Fixed (not thread-derived) so
-/// the chunking — and therefore every jitter stream — is identical at any
-/// `ICI_PAR_THREADS`.
-const VOTERS_PER_FORK: usize = 16;
-
 /// Each member in `send_times` broadcasts a vote at its send time; returns,
-/// for every member that collects `q` votes (its own included), the arrival
-/// time of the `q`-th.
+/// for every live member that collects `q` votes (its own included), the
+/// arrival time of the `q`-th.
 ///
-/// Voters broadcast through network forks so the all-to-all exchange
-/// parallelises and stays byte-identical at any `ICI_PAR_THREADS`. On a
-/// jitter-free, fault-free network no send consumes randomness, so voters
-/// are batched [`VOTERS_PER_FORK`] to a fork (stream = chunk index) to
-/// amortise the per-fork meter; otherwise each voter keeps its own fork
-/// (stream = voter id) so the jitter and fault draws each vote makes are a
-/// function of the voter alone. Each fork sorts its own arrivals in
-/// parallel; the merge walks the sorted chunks destination by destination
-/// with one reusable scratch buffer, so no committee-squared flat copy is
-/// made.
+/// On a jitter-free, fault-free network with untraced sends, no vote's
+/// outcome depends on a sequence number, so the round is one
+/// [`Network::broadcast`]: each destination's arrivals are swept in one
+/// pass, the `q`-th is selected in place, and the meter is charged once
+/// per round. Otherwise each voter sends through its own fork (stream =
+/// voter id), so the jitter and fault draws — and the trace ids — each
+/// vote gets are a function of the voter alone and identical at any
+/// `ICI_PAR_THREADS`; the forks run in parallel and their sorted
+/// arrivals are merged destination by destination. Both paths advance
+/// the parent's sequence stream once.
 fn vote_round(
     net: &mut Network,
     members: &[NodeId],
@@ -232,34 +229,45 @@ fn vote_round(
         .iter()
         .filter_map(|&voter| send_times.get(&voter).map(|&at| (voter, at)))
         .collect();
-    let work: Vec<(Vec<(NodeId, SimTime)>, Network)> = if net.sends_are_stream_independent() {
-        voters
-            .chunks(VOTERS_PER_FORK)
-            .enumerate()
-            .map(|(i, chunk)| (chunk.to_vec(), net.fork(i as u64)))
-            .collect()
-    } else {
-        voters
-            .iter()
-            .map(|&(voter, at)| (vec![(voter, at)], net.fork(voter.index() as u64)))
-            .collect()
-    };
+    let traced = ici_trace::enabled() && net.trace_ctx().sends;
+    let mut out = BTreeMap::new();
+    if net.sends_are_stream_independent() && !traced {
+        net.broadcast(
+            &voters,
+            members,
+            MessageKind::Vote,
+            VOTE_BYTES,
+            |dest, arrivals| {
+                if let Some(&own) = send_times.get(&dest) {
+                    arrivals.push(own);
+                }
+                if arrivals.len() >= q {
+                    let (_, &mut at, _) = arrivals.select_nth_unstable(q - 1);
+                    out.insert(dest, at);
+                }
+            },
+        );
+        net.advance_stream();
+        return out;
+    }
+    let work: Vec<((NodeId, SimTime), Network)> = voters
+        .iter()
+        .map(|&(voter, at)| ((voter, at), net.fork(voter.index() as u64)))
+        .collect();
     net.advance_stream();
     let dests: Arc<Vec<NodeId>> = Arc::new(members.to_vec());
-    let broadcasts = ici_par::par_map(work, move |_, (chunk, mut fork)| {
-        let mut sent: Vec<(NodeId, SimTime)> = Vec::with_capacity(chunk.len() * dests.len());
-        for &(voter, at) in &chunk {
-            for &dest in dests.iter() {
-                if dest == voter {
-                    sent.push((dest, at));
-                    continue;
-                }
-                if let Some(delay) = fork
-                    .send(voter, dest, MessageKind::Vote, VOTE_BYTES)
-                    .delay()
-                {
-                    sent.push((dest, at + delay));
-                }
+    let broadcasts = ici_par::par_map(work, move |_, ((voter, at), mut fork)| {
+        let mut sent: Vec<(NodeId, SimTime)> = Vec::with_capacity(dests.len());
+        for &dest in dests.iter() {
+            if dest == voter {
+                sent.push((dest, at));
+                continue;
+            }
+            if let Some(delay) = fork
+                .send(voter, dest, MessageKind::Vote, VOTE_BYTES)
+                .delay()
+            {
+                sent.push((dest, at + delay));
             }
         }
         sent.sort_unstable();
@@ -270,12 +278,11 @@ fn vote_round(
         net.absorb(fork);
         sorted.push(sent);
     }
-    // Destination-ordered merge over the sorted chunks: gather each
-    // destination's arrival times into the scratch buffer, take the q-th
-    // smallest — the same value a per-destination sort would produce.
+    // Destination-ordered merge over the sorted per-voter lists: gather
+    // each destination's arrival times into the scratch buffer, take the
+    // q-th smallest — the same value a per-destination sort would produce.
     let mut cursors = vec![0usize; sorted.len()];
     let mut scratch: Vec<SimTime> = Vec::with_capacity(members.len());
-    let mut out = BTreeMap::new();
     loop {
         let mut dest: Option<NodeId> = None;
         for (ci, chunk) in sorted.iter().enumerate() {
@@ -324,6 +331,14 @@ mod tests {
 
     fn members(n: u64) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
+    }
+
+    /// Serializes the tests that flip the process-global trace flag, so
+    /// one test switching tracing off cannot cut another's events short.
+    fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn run(net: &mut Network, m: &[NodeId], leader: NodeId) -> CommitReport {
@@ -479,6 +494,7 @@ mod tests {
 
     #[test]
     fn commit_emits_causally_linked_stage_events() {
+        let _guard = trace_lock();
         ici_trace::reset();
         ici_trace::set_enabled(true);
         let mut net = network(4);
@@ -518,6 +534,77 @@ mod tests {
             .events
             .iter()
             .all(|e| e.kind != ici_trace::TraceKind::Send));
+    }
+
+    #[test]
+    fn traced_sends_keep_one_event_per_vote_on_a_quiet_network() {
+        let _guard = trace_lock();
+        let c = 6u64;
+        let m = members(c);
+        let ready: BTreeMap<NodeId, SimTime> = m
+            .iter()
+            .map(|&v| (v, SimTime::from_micros(10 * v.get())))
+            .collect();
+        let q = quorum(m.len());
+        let ctx = ici_trace::SendCtx {
+            sends: true,
+            at_us: 0,
+            height: 5,
+            cluster: Some(3),
+            parent: 777,
+        };
+        let mut traced_net = network(c as usize);
+        traced_net.set_trace_ctx(ctx);
+        // The ids the per-voter forks hand out: stream = voter id, one
+        // sequence number per send in destination order.
+        let mut probe = traced_net.clone();
+        let mut expected_ids = Vec::new();
+        for &voter in &m {
+            let mut fork = probe.fork(voter.index() as u64);
+            for &dest in m.iter().filter(|&&d| d != voter) {
+                expected_ids.push(fork.next_send_trace_id());
+                fork.send(voter, dest, MessageKind::Vote, VOTE_BYTES);
+            }
+        }
+
+        ici_trace::reset();
+        ici_trace::set_enabled(true);
+        let traced = run_vote_rounds(&mut traced_net, &m, &ready, q, 1);
+        ici_trace::set_enabled(false);
+        let snap = ici_trace::snapshot();
+        ici_trace::reset();
+
+        let sends: Vec<&ici_trace::TraceEvent> = snap
+            .events
+            .iter()
+            .filter(|e| e.kind == ici_trace::TraceKind::Send)
+            .collect();
+        assert_eq!(sends.len() as u64, c * (c - 1), "one event per vote");
+        for e in &sends {
+            assert_eq!(e.name, MessageKind::Vote.name());
+            assert_eq!((e.height, e.cluster, e.parent), (5, Some(3), 777));
+            assert_eq!(e.bytes, VOTE_BYTES);
+        }
+        let mut ids: Vec<u64> = sends.iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        expected_ids.sort_unstable();
+        assert_eq!(ids, expected_ids, "ids come from per-voter fork streams");
+
+        // Tracing changes no outcome: the untraced one-pass round agrees.
+        let mut quiet = network(c as usize);
+        let fast = run_vote_rounds(&mut quiet, &m, &ready, q, 1);
+        assert_eq!(traced, fast);
+        assert_eq!(traced_net.meter().by_kind(), quiet.meter().by_kind());
+        for node in &m {
+            assert_eq!(
+                traced_net.meter().sent_by(*node),
+                quiet.meter().sent_by(*node)
+            );
+            assert_eq!(
+                traced_net.meter().received_by(*node),
+                quiet.meter().received_by(*node)
+            );
+        }
     }
 
     #[test]

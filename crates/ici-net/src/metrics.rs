@@ -88,8 +88,12 @@ pub struct Counter {
 
 impl Counter {
     fn add(&mut self, bytes: u64) {
-        self.messages += 1;
-        self.bytes += bytes;
+        self.add_n(1, bytes);
+    }
+
+    fn add_n(&mut self, messages: u64, bytes_each: u64) {
+        self.messages += messages;
+        self.bytes += messages * bytes_each;
     }
 }
 
@@ -114,6 +118,42 @@ impl TrafficMeter {
         self.sent_by_node.entry(from).or_default().add(bytes);
         self.received_by_node.entry(to).or_default().add(bytes);
         self.total.add(bytes);
+    }
+
+    /// Charges a fan-out of `kind` messages of `bytes` each in one go:
+    /// `sent` lists each sender with the messages it sent, `received`
+    /// each receiver with the messages addressed to it. Equivalent to one
+    /// [`TrafficMeter::record`] per message, but touches the kind and
+    /// total counters once and each node's counters once. Both lists
+    /// must sum to the same message count; zero-count entries (and an
+    /// empty fan-out) leave no trace, as no `record` call would.
+    pub fn record_fanout(
+        &mut self,
+        kind: MessageKind,
+        bytes: u64,
+        sent: &[(NodeId, u64)],
+        received: &[(NodeId, u64)],
+    ) {
+        let messages: u64 = sent.iter().map(|&(_, n)| n).sum();
+        debug_assert_eq!(
+            messages,
+            received.iter().map(|&(_, n)| n).sum::<u64>(),
+            "fan-out senders and receivers disagree on the message count"
+        );
+        if messages == 0 {
+            return;
+        }
+        self.by_kind.entry(kind).or_default().add_n(messages, bytes);
+        for &(node, n) in sent.iter().filter(|&&(_, n)| n > 0) {
+            self.sent_by_node.entry(node).or_default().add_n(n, bytes);
+        }
+        for &(node, n) in received.iter().filter(|&&(_, n)| n > 0) {
+            self.received_by_node
+                .entry(node)
+                .or_default()
+                .add_n(n, bytes);
+        }
+        self.total.add_n(messages, bytes);
     }
 
     /// Mirrors the accumulated per-class totals into the workspace
@@ -261,6 +301,97 @@ mod tests {
             }
         );
         assert_eq!(m1.total().bytes, 115);
+    }
+
+    #[test]
+    fn fanout_charge_equals_the_records_it_replaces() {
+        let (a, b, c, d) = (
+            NodeId::new(0),
+            NodeId::new(1),
+            NodeId::new(2),
+            NodeId::new(7),
+        );
+        // a, b and c each send one vote to every other member of
+        // {a, b, c, d}; idle is listed but sends nothing.
+        let idle = NodeId::new(5);
+        let senders = [a, b, c];
+        let receivers = [a, b, c, d];
+        let mut looped = TrafficMeter::new();
+        looped.record(d, a, MessageKind::Query, 9);
+        let mut bulk = looped.clone();
+        let mut sent = Vec::new();
+        let mut received: Vec<(NodeId, u64)> = receivers.iter().map(|&r| (r, 0)).collect();
+        for &from in &senders {
+            let mut n = 0;
+            for (slot, &to) in receivers.iter().enumerate() {
+                if from != to {
+                    looped.record(from, to, MessageKind::Vote, 112);
+                    n += 1;
+                    received[slot].1 += 1;
+                }
+            }
+            sent.push((from, n));
+        }
+        sent.push((idle, 0));
+        bulk.record_fanout(MessageKind::Vote, 112, &sent, &received);
+
+        assert_eq!(bulk.by_kind(), looped.by_kind());
+        assert_eq!(bulk.total(), looped.total());
+        for node in (0..8).map(NodeId::new) {
+            assert_eq!(bulk.sent_by(node), looped.sent_by(node), "sent_by {node:?}");
+            assert_eq!(
+                bulk.received_by(node),
+                looped.received_by(node),
+                "received_by {node:?}"
+            );
+        }
+        assert_eq!(bulk.max_received_bytes(), looped.max_received_bytes());
+        assert_eq!(
+            bulk.kind(MessageKind::Vote),
+            Counter {
+                messages: 9,
+                bytes: 9 * 112
+            }
+        );
+        // A sender listed with zero messages gets no entry, exactly as
+        // no `record` call would create one.
+        assert!(!bulk.sent_by_node.contains_key(&idle));
+
+        // Merging bulk- and record-charged meters sums alike.
+        let mut merged_bulk = TrafficMeter::new();
+        merged_bulk.merge(&bulk);
+        merged_bulk.merge(&looped);
+        let mut merged_looped = looped.clone();
+        merged_looped.merge(&looped);
+        assert_eq!(merged_bulk.by_kind(), merged_looped.by_kind());
+        assert_eq!(merged_bulk.total(), merged_looped.total());
+        assert_eq!(merged_bulk.sent_by(a), merged_looped.sent_by(a));
+        assert_eq!(merged_bulk.received_by(d), merged_looped.received_by(d));
+    }
+
+    #[test]
+    fn empty_fanout_leaves_the_meter_untouched() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let mut m = TrafficMeter::new();
+        // Every sender down or alone: listed, but with zero messages.
+        m.record_fanout(MessageKind::Vote, 112, &[(a, 0), (b, 0)], &[(a, 0), (b, 0)]);
+        m.record_fanout(MessageKind::Vote, 112, &[], &[]);
+        assert!(m.by_kind().is_empty());
+        assert_eq!(m.total(), Counter::default());
+        assert!(m.sent_by_node.is_empty() && m.received_by_node.is_empty());
+        let snapshot = m.by_kind().clone();
+        assert!(snapshot.is_empty());
+
+        // reset and merge keep their meaning around bulk charges.
+        m.record_fanout(MessageKind::Vote, 112, &[(a, 1)], &[(b, 1)]);
+        let mut copy = TrafficMeter::new();
+        copy.merge(&m);
+        assert_eq!(copy.kind(MessageKind::Vote), m.kind(MessageKind::Vote));
+        assert_eq!(copy.received_by(b).bytes, 112);
+        m.reset();
+        assert!(m.by_kind().is_empty());
+        assert_eq!(m.total(), Counter::default());
+        assert_eq!(m.sent_by(a), Counter::default());
     }
 
     #[test]

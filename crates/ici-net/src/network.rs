@@ -12,7 +12,7 @@ use crate::faults::{FaultConfig, SendFault};
 use crate::link::LinkModel;
 use crate::metrics::{MessageKind, TrafficMeter};
 use crate::node::NodeId;
-use crate::time::Duration;
+use crate::time::{Duration, SimTime};
 use crate::topology::{Coord, Topology};
 
 /// Outcome of a send attempt.
@@ -52,10 +52,11 @@ pub struct Network {
     link: LinkModel,
     meter: TrafficMeter,
     // Liveness and fault state sit behind `Arc`s so a fork is a pair of
-    // refcount bumps instead of a `HashSet`/config deep copy — PBFT
-    // takes hundreds of forks per height, and under fault plans the
-    // down-set is populated. Mutators go through `Arc::make_mut`
-    // (copy-on-write), so forks never observe later parent changes.
+    // refcount bumps instead of a `HashSet`/config deep copy — a jittery
+    // or faulty PBFT round takes one fork per voter, and under fault
+    // plans the down-set is populated. Mutators go through
+    // `Arc::make_mut` (copy-on-write), so forks never observe later
+    // parent changes.
     down: Arc<HashSet<NodeId>>,
     faults: Option<Arc<FaultConfig>>,
     seq: u64,
@@ -203,9 +204,10 @@ impl Network {
     /// stream position: no fault config is installed (inert configs are
     /// normalized to `None`) and the link draws zero jitter, so `send`
     /// consumes a sequence number but never turns it into randomness.
-    /// Protocols may then batch actors onto shared forks without
-    /// changing any delivered byte; jittery or faulty networks must keep
-    /// per-actor forks to preserve their committed traces.
+    /// Untraced fan-outs may then go through [`Network::broadcast`],
+    /// which computes every delivery in one pass without forking;
+    /// jittery or faulty networks must keep per-actor forks, because
+    /// their committed traces depend on each actor's sequence stream.
     pub fn sends_are_stream_independent(&self) -> bool {
         self.faults.is_none() && self.link.max_jitter_ms <= 0.0
     }
@@ -306,13 +308,67 @@ impl Network {
         );
     }
 
+    /// Every live sender in `senders` sends one `kind` message of `bytes`
+    /// to every receiver in `receivers` other than itself, departing at
+    /// its listed send time: the deliveries and traffic of that loop of
+    /// [`Network::send`] calls, computed in one pass and charged with a
+    /// single [`TrafficMeter::record_fanout`].
+    ///
+    /// For each live receiver, in `receivers` order, `deliver(receiver,
+    /// arrivals)` gets the arrival time (send time plus
+    /// [`LinkModel::transit`]) of every message delivered to it, in
+    /// `senders` order; the buffer is scratch the callee may reorder or
+    /// extend. As with `send`, a down sender sends and charges nothing,
+    /// and a down receiver is charged but gets no call.
+    ///
+    /// Only for networks where [`Network::sends_are_stream_independent`]
+    /// holds and sends are not traced: the fan-out draws no sequence
+    /// numbers and logs no send events, so under jitter, faults or a
+    /// send-tracing context the caller must loop over `send` instead.
+    pub fn broadcast(
+        &mut self,
+        senders: &[(NodeId, SimTime)],
+        receivers: &[NodeId],
+        kind: MessageKind,
+        bytes: u64,
+        mut deliver: impl FnMut(NodeId, &mut Vec<SimTime>),
+    ) {
+        debug_assert!(self.sends_are_stream_independent());
+        let live: Vec<bool> = senders.iter().map(|&(s, _)| self.is_up(s)).collect();
+        let mut sent: Vec<(NodeId, u64)> = senders.iter().map(|&(s, _)| (s, 0)).collect();
+        let mut received: Vec<(NodeId, u64)> = Vec::with_capacity(receivers.len());
+        let mut arrivals: Vec<SimTime> = Vec::with_capacity(senders.len() + 1);
+        for &to in receivers {
+            let to_up = self.is_up(to);
+            arrivals.clear();
+            let mut count = 0u64;
+            for (i, &(from, at)) in senders.iter().enumerate() {
+                if from == to || !live[i] {
+                    continue;
+                }
+                count += 1;
+                sent[i].1 += 1;
+                if to_up {
+                    arrivals
+                        .push(at + self.link.transit(&self.topology, from, to, bytes, self.seq));
+                }
+            }
+            received.push((to, count));
+            if to_up {
+                deliver(to, &mut arrivals);
+            }
+        }
+        self.meter.record_fanout(kind, bytes, &sent, &received);
+    }
+
     /// Adds a node at `coord` (e.g. a bootstrapping joiner). Returns its id.
     pub fn join(&mut self, coord: Coord) -> NodeId {
         Arc::make_mut(&mut self.topology).push(coord)
     }
 
     /// Forks a child network for an independent protocol actor (e.g. one
-    /// PBFT voter), sharing the topology and carrying the parent's
+    /// PBFT voter on a jittery or faulty network, or one RapidChain
+    /// shard), sharing the topology and carrying the parent's
     /// liveness and fault state, with a fresh meter and a sequence
     /// stream derived from `(parent seq, stream)`.
     ///
@@ -473,6 +529,59 @@ mod tests {
         parent.absorb(child);
         assert_eq!(parent.meter().total().messages, 3);
         assert_eq!(parent.meter().total().bytes, 60);
+    }
+
+    #[test]
+    fn broadcast_matches_a_loop_of_send() {
+        let senders: Vec<(NodeId, SimTime)> = [0, 2, 3, 5]
+            .into_iter()
+            .map(|i| (NodeId::new(i), SimTime::from_micros(100 * i)))
+            .collect();
+        let receivers: Vec<NodeId> = [3, 1, 2, 4, 0].into_iter().map(NodeId::new).collect();
+        let crashed = |net: &mut Network| {
+            net.crash(NodeId::new(2)); // a sender and a receiver
+            net.crash(NodeId::new(4)); // a receiver only
+        };
+        let mut looped = net(6);
+        crashed(&mut looped);
+        let mut expected = Vec::new();
+        for &to in &receivers {
+            let mut arrivals = Vec::new();
+            for &(from, at) in &senders {
+                if from != to {
+                    if let Some(d) = looped.send(from, to, MessageKind::Vote, 112).delay() {
+                        arrivals.push(at + d);
+                    }
+                }
+            }
+            if looped.is_up(to) {
+                expected.push((to, arrivals));
+            }
+        }
+        let mut bulk = net(6);
+        crashed(&mut bulk);
+        let mut got = Vec::new();
+        bulk.broadcast(
+            &senders,
+            &receivers,
+            MessageKind::Vote,
+            112,
+            |to, arrivals| {
+                got.push((to, arrivals.clone()));
+            },
+        );
+        assert_eq!(got, expected);
+        assert_eq!(bulk.meter().by_kind(), looped.meter().by_kind());
+        assert_eq!(bulk.meter().total(), looped.meter().total());
+        for node in (0..6).map(NodeId::new) {
+            assert_eq!(bulk.meter().sent_by(node), looped.meter().sent_by(node));
+            assert_eq!(
+                bulk.meter().received_by(node),
+                looped.meter().received_by(node)
+            );
+        }
+        assert_eq!(bulk.meter().sent_by(NodeId::new(2)).messages, 0);
+        assert_eq!(bulk.meter().received_by(NodeId::new(4)).messages, 3);
     }
 
     #[test]

@@ -28,6 +28,11 @@ for _ in $(seq 10); do
     cargo test -q -p ici-telemetry -p ici-bench --lib -- --test-threads=8
 done
 
+echo "==> perfbench tests (builds the benchmark against the workspace crates)"
+# perfbench is its own cargo workspace, so the steps above never compile
+# it; this catches a crate API change that would break the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> ici-lint"
 cargo run -q -p ici-lint
 
@@ -378,7 +383,7 @@ E7_ALLOC=$(alloc_bench e7_throughput)
 EF_ALLOC=$(alloc_bench e_fault --seed 42)
 # The counting allocator must never leak into the result records: the
 # instrumented runs have to reproduce the committed JSON byte for byte
-# (digest caching, shared bodies, and chunked vote forks included).
+# (digest caching, shared bodies, and one-pass vote rounds included).
 git diff --quiet -- results/e1.json results/e7.json results/e_fault.json || {
     echo "allocation-bench runs changed committed results/e*.json"; exit 1;
 }
