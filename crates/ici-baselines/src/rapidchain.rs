@@ -16,6 +16,8 @@
 //!   plus duplicate inclusion in the destination shard (RapidChain's
 //!   known amplification) through [`RapidChainNetwork::relay_cross_shard`].
 
+use std::sync::{Arc, OnceLock};
+
 use ici_chain::block::{Block, BlockHeader, Height};
 use ici_chain::builder::BlockBuilder;
 use ici_chain::genesis::GenesisConfig;
@@ -29,7 +31,7 @@ use ici_consensus::leader::elect_live_leader;
 use ici_consensus::pbft::run_vote_rounds;
 use ici_consensus::quorum::quorum;
 use ici_net::cost::CostModel;
-use ici_net::link::LinkModel;
+use ici_net::link::{LinkModel, LinkTable};
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -79,6 +81,10 @@ pub struct RapidChainNetwork {
     config: RapidChainConfig,
     net: Network,
     partition: Partition,
+    /// Per-shard committee link tables, built on each shard's first
+    /// proposal (inside its parallel job) and kept for the network's
+    /// life: committees never change, and `join` only appends nodes.
+    links: Vec<Arc<OnceLock<LinkTable>>>,
     shard_chains: Vec<Vec<Block>>,
     shard_states: Vec<WorldState>,
     /// Per-shard clocks: committees commit in parallel.
@@ -98,6 +104,7 @@ impl RapidChainNetwork {
         let genesis = config.genesis.genesis_block();
         let state = config.genesis.initial_state();
         RapidChainNetwork {
+            links: (0..k).map(|_| Arc::new(OnceLock::new())).collect(),
             shard_chains: vec![vec![genesis]; k],
             shard_states: vec![state; k],
             shard_clocks: vec![SimTime::ZERO; k],
@@ -197,6 +204,7 @@ impl RapidChainNetwork {
         struct ShardJob {
             shard: usize,
             committee: Vec<NodeId>,
+            links: Arc<OnceLock<LinkTable>>,
             parent: BlockHeader,
             state: WorldState,
             clock: SimTime,
@@ -207,6 +215,7 @@ impl RapidChainNetwork {
             .into_iter()
             .map(|(shard, pending)| ShardJob {
                 committee: self.committee(shard).to_vec(),
+                links: Arc::clone(&self.links[shard]),
                 parent: *self.shard_chains[shard].last().expect("genesis").header(),
                 state: self.shard_states[shard].clone(),
                 clock: self.shard_clocks[shard],
@@ -220,11 +229,12 @@ impl RapidChainNetwork {
         let ida = self.config.ida.clone();
         let outcomes = ici_par::par_map(jobs, move |_, job| {
             let mut fork = job.fork;
+            let table = job.links.get_or_init(|| fork.link_table(&job.committee));
             let result = RapidChainNetwork::propose_in(
                 &mut fork,
                 &cost,
                 &ida,
-                &job.committee,
+                table,
                 job.parent,
                 &job.state,
                 job.clock,
@@ -259,7 +269,7 @@ impl RapidChainNetwork {
         net: &mut Network,
         cost: &CostModel,
         ida: &IdaConfig,
-        committee: &[NodeId],
+        table: &LinkTable,
         parent: BlockHeader,
         state: &WorldState,
         clock: SimTime,
@@ -267,6 +277,7 @@ impl RapidChainNetwork {
     ) -> Option<(Block, WorldState, BaselineCommitRecord)> {
         let parent_id = parent.id();
         let height = parent.height + 1;
+        let committee = table.members();
         let leader = elect_live_leader(&parent_id, height, committee, |n| net.is_up(n))?;
 
         let timestamp_ms = (parent.timestamp_ms + 1).max(clock.as_millis());
@@ -280,7 +291,7 @@ impl RapidChainNetwork {
         let start = clock + build_cost;
 
         // IDA-gossip dissemination, then full solo validation per member.
-        let reconstruct = run_ida_dissemination(net, committee, leader, start, body_bytes, ida);
+        let reconstruct = run_ida_dissemination(net, table, leader, start, body_bytes, ida);
         let validation = cost.solo_block_validation(n_txs, body_bytes);
         let ready: std::collections::BTreeMap<NodeId, SimTime> = reconstruct
             .into_iter()
@@ -288,7 +299,7 @@ impl RapidChainNetwork {
             .collect();
 
         let q = quorum(committee.len());
-        let committed = run_vote_rounds(net, committee, &ready, q, 2);
+        let committed = run_vote_rounds(net, table, &ready, q, 2);
         if committed.len() < q {
             return None;
         }

@@ -1,5 +1,6 @@
 //! Micro-benchmarks over the substrates: hashing, MACs, Merkle trees,
-//! erasure coding, assignment, codec, and clustering. These bound the
+//! erasure coding, assignment, codec, clustering, and per-message network
+//! metering. These bound the
 //! cost-model constants used by the simulator and expose regressions in
 //! the hot paths.
 //!
@@ -17,6 +18,9 @@ use ici_crypto::merkle::MerkleTree;
 use ici_crypto::rs::ReedSolomon;
 use ici_crypto::sha256::Sha256;
 use ici_crypto::sig::Keypair;
+use ici_net::link::LinkModel;
+use ici_net::metrics::{MessageKind, TrafficMeter};
+use ici_net::network::Network;
 use ici_net::node::NodeId;
 use ici_net::topology::{Placement, Topology};
 use ici_storage::assignment::{
@@ -24,7 +28,7 @@ use ici_storage::assignment::{
 };
 
 fn bench_sha256() {
-    for size in [64usize, 1_024, 65_536] {
+    for size in [0usize, 32, 64, 1_024, 65_536] {
         let data = vec![0xA5u8; size];
         bench(&format!("sha256/{size}B"), || Sha256::digest(&data));
     }
@@ -126,6 +130,28 @@ fn bench_clustering() {
     );
 }
 
+/// The per-message cost the one-pass paths avoid: one metered `send` on
+/// a quiet 128-node network, and the meter charge inside it.
+fn bench_net() {
+    let mut net = Network::new(
+        Topology::generate(128, &Placement::default(), 9),
+        LinkModel {
+            max_jitter_ms: 0.0,
+            ..LinkModel::default()
+        },
+    );
+    let mut to = 0u64;
+    bench("net/send_quiet", || {
+        to = (to + 1) % 127 + 1;
+        net.send(NodeId::new(0), NodeId::new(to), MessageKind::Vote, 112)
+    });
+    let mut meter = TrafficMeter::new();
+    bench("net/meter_record", || {
+        to = (to + 1) % 127 + 1;
+        meter.record(NodeId::new(0), NodeId::new(to), MessageKind::Vote, 112);
+    });
+}
+
 fn main() {
     bench_sha256();
     bench_hmac();
@@ -136,4 +162,5 @@ fn main() {
     bench_assignment();
     bench_codec();
     bench_clustering();
+    bench_net();
 }

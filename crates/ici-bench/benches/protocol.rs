@@ -5,6 +5,8 @@
 //! Runs on the in-repo std-only harness (`ici_bench::harness`) so
 //! `cargo bench` needs no external dependencies.
 
+use std::collections::BTreeMap;
+
 use ici_baselines::full::{FullConfig, FullReplicationNetwork};
 use ici_baselines::rapidchain::{RapidChainConfig, RapidChainNetwork};
 use ici_bench::harness::bench_with_setup;
@@ -12,7 +14,8 @@ use ici_chain::transaction::{Address, Transaction};
 use ici_cluster::membership::JoinPolicy;
 use ici_consensus::gossip::{gossip_flood, GossipConfig};
 use ici_consensus::ida::{run_ida_dissemination, IdaConfig};
-use ici_consensus::pbft::{run_pbft_commit, PbftInputs};
+use ici_consensus::pbft::{run_pbft_commit, run_vote_rounds, PbftInputs};
+use ici_consensus::quorum::quorum;
 use ici_core::config::IciConfig;
 use ici_core::network::IciNetwork;
 use ici_crypto::sig::Keypair;
@@ -106,6 +109,22 @@ fn bench_pbft() {
             },
         );
     }
+    // RapidChain's committee vote: two all-pairs rounds at c = 128 over
+    // a link table built once, as a shard keeps it for its whole life.
+    let members: Vec<NodeId> = (0..128).map(NodeId::new).collect();
+    let ready: BTreeMap<NodeId, SimTime> = members
+        .iter()
+        .map(|&m| (m, SimTime::from_micros(37 * m.get())))
+        .collect();
+    bench_with_setup(
+        "vote_rounds/table_c128",
+        || {
+            let net = fresh_network(members.len());
+            let table = net.link_table(&members);
+            (net, table)
+        },
+        |(mut net, table)| run_vote_rounds(&mut net, &table, &ready, quorum(members.len()), 2),
+    );
 }
 
 /// Full-replication baseline (E1/E3/E7): one flood commit.
@@ -173,21 +192,29 @@ fn bench_dissemination() {
             )
         },
     );
-    let committee: Vec<NodeId> = (0..64).map(NodeId::new).collect();
-    bench_with_setup(
-        "dissemination/ida_c64",
-        || fresh_network(64),
-        |mut net| {
-            run_ida_dissemination(
-                &mut net,
-                &committee,
-                NodeId::new(0),
-                SimTime::ZERO,
-                100_000,
-                &IdaConfig::default(),
-            )
-        },
-    );
+    // IDA over a committee link table built in setup, as a RapidChain
+    // shard reuses one; c = 128 is the benchmark's committee size.
+    for c in [64u64, 128] {
+        let committee: Vec<NodeId> = (0..c).map(NodeId::new).collect();
+        bench_with_setup(
+            &format!("dissemination/ida_c{c}"),
+            || {
+                let net = fresh_network(committee.len());
+                let table = net.link_table(&committee);
+                (net, table)
+            },
+            |(mut net, table)| {
+                run_ida_dissemination(
+                    &mut net,
+                    &table,
+                    NodeId::new(0),
+                    SimTime::ZERO,
+                    100_000,
+                    &IdaConfig::default(),
+                )
+            },
+        );
+    }
 }
 
 /// E4 code path: node bootstrap over an existing chain.

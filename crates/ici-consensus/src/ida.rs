@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use ici_net::link::LinkTable;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -55,9 +56,10 @@ impl IdaConfig {
     }
 }
 
-/// Disseminates a block of `body_bytes` from `leader` to `members` via
-/// IDA-gossip. Returns each member's reconstruction time (the arrival of
-/// its `k`-th distinct shard). Crashed members are absent from the result.
+/// Disseminates a block of `body_bytes` from `leader` to `table`'s
+/// committee via IDA-gossip. Returns each member's reconstruction time
+/// (the arrival of its `k`-th distinct shard). Crashed members are absent
+/// from the result.
 ///
 /// Message pattern:
 /// 1. *Scatter*: the leader sends shard `i mod n` to member `i` (one shard
@@ -65,9 +67,14 @@ impl IdaConfig {
 /// 2. *Relay*: for each member `j` and each of the `k` shard indices it
 ///    still needs, the nearest-by-index holder forwards its shard to `j`
 ///    as soon as it has it.
+///
+/// Where [`Network::can_fan_out`] holds and the leader is a member, every
+/// delay is read from the table and the whole exchange is charged with
+/// one [`Network::charge_sends`]; otherwise each shard goes through
+/// [`Network::send`].
 pub fn run_ida_dissemination(
     net: &mut Network,
-    members: &[NodeId],
+    table: &LinkTable,
     leader: NodeId,
     start: SimTime,
     body_bytes: u64,
@@ -79,10 +86,114 @@ pub fn run_ida_dissemination(
         ici_telemetry::Label::Global,
         body_bytes,
     );
-    let mut reconstructed = BTreeMap::new();
-    if members.is_empty() || !net.is_up(leader) {
-        return reconstructed;
+    if table.members().is_empty() || !net.is_up(leader) {
+        return BTreeMap::new();
     }
+    match table.position(leader) {
+        Some(leader_pos) if net.can_fan_out(table) => {
+            disseminate_from_table(net, table, leader_pos, start, body_bytes, config)
+        }
+        _ => disseminate_per_send(net, table.members(), leader, start, body_bytes, config),
+    }
+}
+
+/// The scatter and relay of [`run_ida_dissemination`] as one pass over
+/// `table`, for a live leader at position `leader_pos` on a network where
+/// [`Network::can_fan_out`] holds: every send is delivered unless its
+/// receiver is down, so the holders of each shard index and the relays
+/// follow from liveness alone.
+fn disseminate_from_table(
+    net: &mut Network,
+    table: &LinkTable,
+    leader_pos: usize,
+    start: SimTime,
+    body_bytes: u64,
+    config: &IdaConfig,
+) -> BTreeMap<NodeId, SimTime> {
+    let members = table.members();
+    let n_shards = config.total_shards();
+    let k = config.data_shards;
+    let shard_bytes = config.shard_bytes(body_bytes);
+    let serialization = net.link().serialization(shard_bytes);
+    let mut sent = vec![0u64; members.len()];
+    let mut received = vec![0u64; members.len()];
+
+    // Scatter: every other member is sent shard (i mod n_shards); the
+    // live ones hold it from its arrival, the leader from `start`.
+    let mut held_at: Vec<Option<SimTime>> = vec![None; members.len()];
+    for (i, held) in held_at.iter_mut().enumerate() {
+        if i == leader_pos {
+            *held = Some(start);
+            continue;
+        }
+        sent[leader_pos] += 1;
+        received[i] += 1;
+        if net.is_up(members[i]) {
+            *held = Some(start + serialization + table.delay(leader_pos, i));
+        }
+    }
+    // The relay source of each shard index: its first holder in member
+    // order (the leader serves indices no member holds).
+    let mut source: Vec<Option<(usize, SimTime)>> = vec![None; n_shards];
+    for (i, held) in held_at.iter().enumerate() {
+        if let Some(at) = *held {
+            source[i % n_shards].get_or_insert((i, at));
+        }
+    }
+
+    // Relay: each live member gathers k distinct shards, its own scatter
+    // shard first, then the next indices in turn from their sources.
+    let relays = k.saturating_sub(1).min(n_shards.saturating_sub(1));
+    let mut reconstructed = BTreeMap::new();
+    let mut arrivals: Vec<SimTime> = Vec::with_capacity(k);
+    for (i, &m) in members.iter().enumerate() {
+        let Some(own) = held_at[i].filter(|_| i != leader_pos) else {
+            continue;
+        };
+        let own_shard = i % n_shards;
+        arrivals.clear();
+        arrivals.push(own);
+        for step in 1..=relays {
+            let (from, at) = source[(own_shard + step) % n_shards].unwrap_or((leader_pos, start));
+            sent[from] += 1;
+            arrivals.push(at + serialization + table.delay(from, i));
+        }
+        received[i] += relays as u64;
+        if arrivals.len() >= k {
+            reconstructed.insert(m, *arrivals.select_nth_unstable(k - 1).1);
+        }
+    }
+    // The leader trivially has the block.
+    reconstructed.insert(members[leader_pos], start);
+
+    let counts = |per_member: &[u64]| -> Vec<(NodeId, u64)> {
+        members
+            .iter()
+            .copied()
+            .zip(per_member.iter().copied())
+            .collect()
+    };
+    net.charge_sends(
+        MessageKind::BlockShard,
+        shard_bytes,
+        &counts(&sent),
+        &counts(&received),
+    );
+    reconstructed
+}
+
+/// [`run_ida_dissemination`] one [`Network::send`] at a time: the path
+/// for jittery, faulty and send-traced networks, whose outcomes depend on
+/// each send's sequence number.
+fn disseminate_per_send(
+    net: &mut Network,
+    members: &[NodeId],
+    leader: NodeId,
+    start: SimTime,
+    body_bytes: u64,
+    config: &IdaConfig,
+) -> BTreeMap<NodeId, SimTime> {
+    let mut reconstructed = BTreeMap::new();
     let n_shards = config.total_shards();
     let k = config.data_shards;
     let shard_bytes = config.shard_bytes(body_bytes);
@@ -179,11 +290,23 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
+    fn ida(
+        net: &mut Network,
+        members: &[NodeId],
+        leader: NodeId,
+        start: SimTime,
+        body_bytes: u64,
+        config: &IdaConfig,
+    ) -> BTreeMap<NodeId, SimTime> {
+        let table = net.link_table(members);
+        run_ida_dissemination(net, &table, leader, start, body_bytes, config)
+    }
+
     #[test]
     fn every_member_reconstructs() {
         let mut net = network(40);
         let m = members(40);
-        let times = run_ida_dissemination(
+        let times = ida(
             &mut net,
             &m,
             NodeId::new(0),
@@ -206,7 +329,7 @@ mod tests {
         let m = members(48);
         let body = 1_000_000u64;
         let cfg = IdaConfig::default();
-        let _ = run_ida_dissemination(&mut net, &m, NodeId::new(0), SimTime::ZERO, body, &cfg);
+        let _ = ida(&mut net, &m, NodeId::new(0), SimTime::ZERO, body, &cfg);
         let total = net.meter().total().bytes;
         // Each of ~48 members receives ~k shards ≈ one body (+ proof
         // overhead); allow 2× slack for rounding and scatter duplicates.
@@ -225,7 +348,7 @@ mod tests {
         let m = members(30);
 
         let mut net = network(30);
-        let ida = run_ida_dissemination(
+        let ida = ida(
             &mut net,
             &m,
             NodeId::new(0),
@@ -255,7 +378,7 @@ mod tests {
     fn crashed_members_are_skipped() {
         let mut net = network(20);
         net.crash(NodeId::new(5));
-        let times = run_ida_dissemination(
+        let times = ida(
             &mut net,
             &members(20),
             NodeId::new(0),
@@ -270,7 +393,7 @@ mod tests {
     #[test]
     fn committee_smaller_than_shard_count_still_works() {
         let mut net = network(5);
-        let times = run_ida_dissemination(
+        let times = ida(
             &mut net,
             &members(5),
             NodeId::new(0),
@@ -285,7 +408,7 @@ mod tests {
     fn dead_leader_disseminates_nothing() {
         let mut net = network(10);
         net.crash(NodeId::new(0));
-        let times = run_ida_dissemination(
+        let times = ida(
             &mut net,
             &members(10),
             NodeId::new(0),

@@ -2,9 +2,12 @@
 //!
 //! ICIStrategy commits blocks inside a cluster with a three-phase BFT
 //! exchange (pre-prepare → prepare → commit) over the simulated network.
-//! Every transmission goes through [`Network::send`], so the run leaves the
-//! communication experiments an exact byte/message trace; latencies come
-//! out of the link model and the per-member validation cost.
+//! Every transmission is metered by the [`Network`] — one
+//! [`Network::send`] each, or, for a quiet network's vote rounds, one
+//! [`Network::fan_out`] charge that counts the same messages — so the run
+//! leaves the communication experiments an exact byte/message trace;
+//! latencies come out of the link model and the per-member validation
+//! cost.
 //!
 //! The model is faithful for the honest-crash setting the paper evaluates:
 //! crashed members neither validate nor vote, quorums are computed over the
@@ -14,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ici_net::link::LinkTable;
 use ici_net::metrics::MessageKind;
 use ici_net::network::Network;
 use ici_net::node::NodeId;
@@ -108,7 +112,7 @@ where
     }
 
     // Phase 1 — pre-prepare: leader ships the payload.
-    let mut ready: BTreeMap<NodeId, SimTime> = BTreeMap::new();
+    let mut ready: Vec<Option<SimTime>> = Vec::with_capacity(c);
     let mut payload_bytes = 0u64;
     for &m in members {
         let arrival = if m == inputs.leader {
@@ -120,15 +124,18 @@ where
                 .delay()
                 .map(|d| inputs.start + d)
         };
-        if let Some(at) = arrival {
-            ready.insert(m, at + (inputs.validation)(m));
-        }
+        ready.push(arrival.map(|at| at + (inputs.validation)(m)));
     }
     if ici_trace::enabled() {
         // Dissemination + validation stage: proposal to the last member
         // becoming vote-ready, keyed by the network's causal context.
         let ctx = net.trace_ctx();
-        let done = ready.values().max().copied().unwrap_or(inputs.start);
+        let done = ready
+            .iter()
+            .flatten()
+            .max()
+            .copied()
+            .unwrap_or(inputs.start);
         ici_trace::stage(
             "consensus/preprepare",
             inputs.start.as_micros(),
@@ -144,12 +151,13 @@ where
 
     // Phase 2 — prepare: each ready member broadcasts a vote; a member is
     // *prepared* at its q-th prepare arrival (own vote counts at send time).
-    let prepared = vote_round(net, members, &ready, q);
+    let table = net.link_table(members);
+    let prepared = vote_round(net, &table, &ready, q);
 
     // Phase 3 — commit: same pattern over commit votes.
-    let committed = vote_round(net, members, &prepared, q);
+    let committed = vote_round(net, &table, &prepared, q);
 
-    report.commit_times = committed;
+    report.commit_times = by_member(&table, &committed);
     ici_telemetry::counter_add(
         if report.is_committed() {
             "consensus/pbft_committed"
@@ -184,129 +192,125 @@ where
     report
 }
 
-/// Runs `rounds` successive all-to-all vote exchanges starting from
-/// `ready` (per-member readiness times), with quorum `q` per round.
-/// Returns the final per-member quorum times. Used directly by consensus
-/// variants that handle dissemination themselves (RapidChain's
-/// IDA-gossip committees); each round is one [`vote_round`], so quiet
-/// networks take its one-pass broadcast.
+/// Runs `rounds` successive all-to-all vote exchanges among `table`'s
+/// committee, starting from `ready` (per-member readiness times), with
+/// quorum `q` per round. Returns the final per-member quorum times. Used
+/// directly by consensus variants that handle dissemination themselves
+/// (RapidChain's IDA-gossip committees); each round is one
+/// [`vote_round`], so quiet networks read every delay from the table.
 pub fn run_vote_rounds(
     net: &mut Network,
-    members: &[NodeId],
+    table: &LinkTable,
     ready: &BTreeMap<NodeId, SimTime>,
     q: usize,
     rounds: usize,
 ) -> BTreeMap<NodeId, SimTime> {
-    let mut times = ready.clone();
+    let mut times: Vec<Option<SimTime>> = table
+        .members()
+        .iter()
+        .map(|m| ready.get(m).copied())
+        .collect();
     for _ in 0..rounds {
-        times = vote_round(net, members, &times, q);
+        times = vote_round(net, table, &times, q);
     }
-    times
+    by_member(table, &times)
 }
 
-/// Each member in `send_times` broadcasts a vote at its send time; returns,
-/// for every live member that collects `q` votes (its own included), the
-/// arrival time of the `q`-th.
+/// Per-position times as a map keyed by member.
+fn by_member(table: &LinkTable, times: &[Option<SimTime>]) -> BTreeMap<NodeId, SimTime> {
+    table
+        .members()
+        .iter()
+        .zip(times)
+        .filter_map(|(&m, t)| t.map(|t| (m, t)))
+        .collect()
+}
+
+/// Each member of `table`'s committee with a time in `send_times`
+/// (indexed by position) broadcasts a vote at that time; returns, by
+/// position, the arrival of the `q`-th vote (its own included) at every
+/// live member that collects `q`.
 ///
-/// On a jitter-free, fault-free network with untraced sends, no vote's
-/// outcome depends on a sequence number, so the round is one
-/// [`Network::broadcast`]: each destination's arrivals are swept in one
-/// pass, the `q`-th is selected in place, and the meter is charged once
-/// per round. Otherwise each voter sends through its own fork (stream =
-/// voter id), so the jitter and fault draws — and the trace ids — each
-/// vote gets are a function of the voter alone and identical at any
-/// `ICI_PAR_THREADS`; the forks run in parallel and their sorted
-/// arrivals are merged destination by destination. Both paths advance
-/// the parent's sequence stream once.
+/// Where [`Network::can_fan_out`] holds — a jitter-free, fault-free
+/// network with untraced sends — no vote's outcome depends on a sequence
+/// number, so the round is one [`Network::fan_out`]: each destination's
+/// arrivals are read off its table row in one pass, the `q`-th is
+/// selected in place, and the meter is charged once per round. Otherwise
+/// each voter sends through its own fork (stream = voter id), so the
+/// jitter and fault draws — and the trace ids — each vote gets are a
+/// function of the voter alone and identical at any `ICI_PAR_THREADS`;
+/// the forks run in parallel and their arrivals are gathered per
+/// destination. Both paths advance the parent's sequence stream once.
 fn vote_round(
     net: &mut Network,
-    members: &[NodeId],
-    send_times: &BTreeMap<NodeId, SimTime>,
+    table: &LinkTable,
+    send_times: &[Option<SimTime>],
     q: usize,
-) -> BTreeMap<NodeId, SimTime> {
+) -> Vec<Option<SimTime>> {
     let _span = ici_telemetry::span!("consensus/vote_round");
-    let voters: Vec<(NodeId, SimTime)> = members
+    let members = table.members();
+    let voters: Vec<(usize, SimTime)> = send_times
         .iter()
-        .filter_map(|&voter| send_times.get(&voter).map(|&at| (voter, at)))
+        .enumerate()
+        .filter_map(|(i, at)| at.map(|at| (i, at)))
         .collect();
-    let traced = ici_trace::enabled() && net.trace_ctx().sends;
-    let mut out = BTreeMap::new();
-    if net.sends_are_stream_independent() && !traced {
-        net.broadcast(
+    let mut out = vec![None; members.len()];
+    let quorum_of = |own: Option<SimTime>, arrivals: &mut Vec<SimTime>| {
+        arrivals.extend(own);
+        (arrivals.len() >= q).then(|| *arrivals.select_nth_unstable(q - 1).1)
+    };
+    if net.can_fan_out(table) {
+        net.fan_out(
+            table,
             &voters,
-            members,
             MessageKind::Vote,
             VOTE_BYTES,
-            |dest, arrivals| {
-                if let Some(&own) = send_times.get(&dest) {
-                    arrivals.push(own);
-                }
-                if arrivals.len() >= q {
-                    let (_, &mut at, _) = arrivals.select_nth_unstable(q - 1);
-                    out.insert(dest, at);
-                }
-            },
+            |dest, arrivals| out[dest] = quorum_of(send_times[dest], arrivals),
         );
         net.advance_stream();
         return out;
     }
-    let work: Vec<((NodeId, SimTime), Network)> = voters
+    let work: Vec<((usize, SimTime), Network)> = voters
         .iter()
-        .map(|&(voter, at)| ((voter, at), net.fork(voter.index() as u64)))
+        .map(|&(voter, at)| ((voter, at), net.fork(members[voter].index() as u64)))
         .collect();
     net.advance_stream();
     let dests: Arc<Vec<NodeId>> = Arc::new(members.to_vec());
     let broadcasts = ici_par::par_map(work, move |_, ((voter, at), mut fork)| {
-        let mut sent: Vec<(NodeId, SimTime)> = Vec::with_capacity(dests.len());
-        for &dest in dests.iter() {
+        let from = dests[voter];
+        let mut sent: Vec<(usize, SimTime)> = Vec::with_capacity(dests.len());
+        for (dest, &to) in dests.iter().enumerate() {
             if dest == voter {
-                sent.push((dest, at));
                 continue;
             }
-            if let Some(delay) = fork
-                .send(voter, dest, MessageKind::Vote, VOTE_BYTES)
-                .delay()
-            {
+            if let Some(delay) = fork.send(from, to, MessageKind::Vote, VOTE_BYTES).delay() {
                 sent.push((dest, at + delay));
             }
         }
-        sent.sort_unstable();
         (sent, fork)
     });
-    let mut sorted: Vec<Vec<(NodeId, SimTime)>> = Vec::with_capacity(broadcasts.len());
+    let mut sent_lists: Vec<Vec<(usize, SimTime)>> = Vec::with_capacity(broadcasts.len());
     for (sent, fork) in broadcasts {
         net.absorb(fork);
-        sorted.push(sent);
+        sent_lists.push(sent);
     }
-    // Destination-ordered merge over the sorted per-voter lists: gather
-    // each destination's arrival times into the scratch buffer, take the
-    // q-th smallest — the same value a per-destination sort would produce.
-    let mut cursors = vec![0usize; sorted.len()];
-    let mut scratch: Vec<SimTime> = Vec::with_capacity(members.len());
-    loop {
-        let mut dest: Option<NodeId> = None;
-        for (ci, chunk) in sorted.iter().enumerate() {
-            if let Some(&(d, _)) = chunk.get(cursors[ci]) {
-                dest = Some(match dest {
-                    Some(cur) if cur <= d => cur,
-                    _ => d,
-                });
-            }
-        }
-        let Some(d) = dest else { break };
-        scratch.clear();
-        for (ci, chunk) in sorted.iter().enumerate() {
-            while let Some(&(dd, t)) = chunk.get(cursors[ci]) {
-                if dd != d {
-                    break;
+    // Each voter's list holds at most one arrival per destination, in
+    // destination order, so one cursor per list gathers a destination's
+    // arrivals into a single scratch buffer.
+    let mut cursors = vec![0usize; sent_lists.len()];
+    let mut gathered: Vec<SimTime> = Vec::with_capacity(sent_lists.len() + 1);
+    for (dest, &node) in members.iter().enumerate() {
+        gathered.clear();
+        for (sent, cursor) in sent_lists.iter().zip(cursors.iter_mut()) {
+            if let Some(&(d, t)) = sent.get(*cursor) {
+                if d == dest {
+                    gathered.push(t);
+                    *cursor += 1;
                 }
-                scratch.push(t);
-                cursors[ci] += 1;
             }
         }
-        if net.is_up(d) && scratch.len() >= q {
-            scratch.sort_unstable();
-            out.insert(d, scratch[q - 1]);
+        if net.is_up(node) {
+            out[dest] = quorum_of(send_times[dest], &mut gathered);
         }
     }
     out
@@ -569,7 +573,8 @@ mod tests {
 
         ici_trace::reset();
         ici_trace::set_enabled(true);
-        let traced = run_vote_rounds(&mut traced_net, &m, &ready, q, 1);
+        let table = traced_net.link_table(&m);
+        let traced = run_vote_rounds(&mut traced_net, &table, &ready, q, 1);
         ici_trace::set_enabled(false);
         let snap = ici_trace::snapshot();
         ici_trace::reset();
@@ -592,7 +597,7 @@ mod tests {
 
         // Tracing changes no outcome: the untraced one-pass round agrees.
         let mut quiet = network(c as usize);
-        let fast = run_vote_rounds(&mut quiet, &m, &ready, q, 1);
+        let fast = run_vote_rounds(&mut quiet, &table, &ready, q, 1);
         assert_eq!(traced, fast);
         assert_eq!(traced_net.meter().by_kind(), quiet.meter().by_kind());
         for node in &m {

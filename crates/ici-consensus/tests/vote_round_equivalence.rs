@@ -1,7 +1,8 @@
 //! The one-pass vote round against a per-send oracle.
 //!
 //! On a jitter-free, fault-free network a vote round runs as one
-//! `Network::broadcast` sweep with one bulk meter charge. This property
+//! `Network::fan_out` sweep over the committee's `LinkTable`, with one
+//! bulk meter charge. This property
 //! pins it to the naive definition written out here: every voter calls
 //! `Network::send` once per other member, each member counts its own
 //! vote at its send time, and a live member's quorum time is its `q`-th
@@ -195,8 +196,10 @@ fn equivalent(case: &Case) -> Result<(), String> {
     let q = case.q();
 
     let mut fast_net = case.network();
+    let table = fast_net.link_table(&members);
     assert!(fast_net.sends_are_stream_independent());
-    let fast = run_vote_rounds(&mut fast_net, &members, &ready, q, 1);
+    assert!(fast_net.can_fan_out(&table));
+    let fast = run_vote_rounds(&mut fast_net, &table, &ready, q, 1);
     let mut oracle_net = case.network();
     let expected = oracle(&mut oracle_net, &members, &ready, q);
 

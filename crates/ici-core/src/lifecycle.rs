@@ -208,6 +208,8 @@ pub struct DistributedHeight {
     pub(crate) block: Block,
     pub(crate) home: ClusterId,
     pub(crate) leader: NodeId,
+    pub(crate) home_members: Vec<NodeId>,
+    pub(crate) home_owners: BTreeSet<NodeId>,
     pub(crate) home_fork: Network,
     pub(crate) home_commit_rel: SimTime,
     pub(crate) verifies: Vec<RemoteVerify>,
@@ -237,6 +239,18 @@ impl DistributedHeight {
     }
 }
 
+/// A cluster that committed a height: its zero-based commit instant and
+/// the members and body owners the build stage derived for it, so the
+/// commit stage stores the block without re-ranking owners. Membership
+/// cannot change while a height is in flight (stage-boundary faults
+/// change liveness only), so these are the sets a fresh derivation at
+/// commit would produce.
+pub(crate) struct ClusterCommit {
+    pub(crate) at_rel: SimTime,
+    pub(crate) members: Vec<NodeId>,
+    pub(crate) owners: BTreeSet<NodeId>,
+}
+
 /// Output of the verify stage: every cluster's commit instant
 /// (zero-based) plus the forks whose traffic the commit stage absorbs.
 pub struct VerifiedHeight {
@@ -249,7 +263,7 @@ pub struct VerifiedHeight {
     pub(crate) home_fork: Network,
     pub(crate) remote_forks: Vec<Network>,
     pub(crate) home_commit_rel: SimTime,
-    pub(crate) cluster_commits_rel: BTreeMap<ClusterId, SimTime>,
+    pub(crate) cluster_commits_rel: BTreeMap<ClusterId, ClusterCommit>,
     pub(crate) network_commit_rel: SimTime,
     pub(crate) missed: Vec<ClusterId>,
     pub(crate) n_txs: usize,
@@ -464,7 +478,6 @@ impl IciNetwork {
 
         let height = verified.height;
         let block = verified.block;
-        let block_id = block.id();
         let home = verified.home;
         let leader = verified.leader;
         let n_txs = verified.n_txs;
@@ -473,7 +486,7 @@ impl IciNetwork {
         let cluster_commits: BTreeMap<ClusterId, SimTime> = verified
             .cluster_commits_rel
             .iter()
-            .map(|(&c, &t)| (c, shift_time(proposed_at, t)))
+            .map(|(&c, commit)| (c, shift_time(proposed_at, commit.at_rel)))
             .collect();
         let network_commit = shift_time(proposed_at, verified.network_commit_rel);
         let mut missed = verified.missed;
@@ -484,18 +497,13 @@ impl IciNetwork {
 
         // Storage: live members of committed clusters take the header;
         // live owners take the body.
-        for (&cluster, _) in &cluster_commits {
-            let members = self.membership.active_members(cluster);
-            let owners: BTreeSet<NodeId> = self
-                .dispatch_owners(&block_id, height, &members)
-                .into_iter()
-                .collect();
-            for m in members {
+        for commit in verified.cluster_commits_rel.values() {
+            for &m in &commit.members {
                 if !self.net.is_up(m) {
                     continue;
                 }
                 self.holdings[m.index()].add_header();
-                if owners.contains(&m) {
+                if commit.owners.contains(&m) {
                     self.holdings[m.index()].add_body(height, body_bytes);
                 }
             }
@@ -681,6 +689,8 @@ pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
             block: built.block,
             home: built.home,
             leader: built.leader,
+            home_members: built.home_members,
+            home_owners: built.home_owners,
             home_fork: built.home_fork,
             home_commit_rel: SimTime::ZERO,
             verifies: Vec::new(),
@@ -774,6 +784,8 @@ pub(crate) fn stage_distribute(mut built: BuiltHeight) -> DistributedHeight {
         block: built.block,
         home: built.home,
         leader: built.leader,
+        home_members: built.home_members,
+        home_owners: built.home_owners,
         home_fork: built.home_fork,
         home_commit_rel,
         verifies,
@@ -806,7 +818,14 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
     let mut missed = distributed.missed;
     let mut remote_forks = Vec::new();
     if distributed.failed.is_none() {
-        cluster_commits_rel.insert(distributed.home, distributed.home_commit_rel);
+        cluster_commits_rel.insert(
+            distributed.home,
+            ClusterCommit {
+                at_rel: distributed.home_commit_rel,
+                members: distributed.home_members,
+                owners: distributed.home_owners,
+            },
+        );
         let results = ici_par::par_map(distributed.verifies, move |_, rv| {
             let _cluster_span =
                 ici_telemetry::span!("core/remote_commit", cluster = rv.cluster.get());
@@ -831,13 +850,18 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
                     },
                 },
             );
-            (rv.cluster, report.quorum_commit(), fork)
+            let commit = report.quorum_commit().map(|at_rel| ClusterCommit {
+                at_rel,
+                members: rv.members,
+                owners: rv.owners,
+            });
+            (rv.cluster, commit, fork)
         });
         for (cluster, commit, fork) in results {
             remote_forks.push(fork);
             match commit {
-                Some(t) => {
-                    cluster_commits_rel.insert(cluster, t);
+                Some(commit) => {
+                    cluster_commits_rel.insert(cluster, commit);
                 }
                 None => missed.push(cluster),
             }
@@ -848,8 +872,8 @@ pub(crate) fn stage_verify(distributed: DistributedHeight) -> VerifiedHeight {
     // `max` has a witness; fall back to it rather than panicking.
     let network_commit_rel = cluster_commits_rel
         .values()
+        .map(|commit| commit.at_rel)
         .max()
-        .copied()
         .unwrap_or(distributed.home_commit_rel);
     if tracing && distributed.failed.is_none() {
         ici_trace::stage(

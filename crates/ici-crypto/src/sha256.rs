@@ -297,16 +297,20 @@ impl Sha256 {
             ici_telemetry::Label::Global,
             self.length,
         );
-        let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // Don't let the padding itself inflate the recorded length.
-        self.length = self.length.wrapping_sub(1);
-        while self.buffered != 56 {
-            self.update(&[0u8]);
-            self.length = self.length.wrapping_sub(1);
+        // Padding, written straight into the block buffer: 0x80, zeros,
+        // then the 64-bit big-endian bit length in the last 8 bytes. When
+        // the 0x80 leaves no room for the length, the zeros spill into
+        // one more block.
+        let mut block = self.buffer;
+        let used = self.buffered;
+        block[used] = 0x80;
+        block[used + 1..].fill(0);
+        if used >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
+        block[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        self.compress(&block);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -440,6 +444,22 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), Sha256::digest(&data));
+    }
+
+    #[test]
+    fn padding_is_exact_at_every_block_boundary() {
+        // Messages of 0..=130 bytes cross every padding case: the length
+        // fits after the 0x80 (< 56 bytes buffered), it spills into a
+        // second block (56..=63), and both again one block further on.
+        // Reference value computed independently with Python's hashlib.
+        let mut chained = Sha256::new();
+        for n in 0..=130 {
+            chained.update(Sha256::digest(&vec![b'a'; n]).as_bytes());
+        }
+        assert_eq!(
+            chained.finalize().to_hex(),
+            "f908a43fc8456c583aacde0fb2627959f8513dc76d0c03979b7f945a7dd78f22"
+        );
     }
 
     #[test]

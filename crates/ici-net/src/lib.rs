@@ -6,7 +6,8 @@
 //! * [`time`] — microsecond virtual clock types;
 //! * [`node`] — dense node identifiers;
 //! * [`topology`] — 2-D latency-space placement (uniform or regional);
-//! * [`link`] — propagation + serialization + deterministic jitter;
+//! * [`link`] — propagation + serialization + deterministic jitter, and
+//!   per-committee tables of propagation delays;
 //! * [`queue`] — the deterministic discrete-event queue;
 //! * [`metrics`] — per-class, per-node traffic metering;
 //! * [`cost`] — CPU cost model for verification and execution;
@@ -55,7 +56,7 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use faults::{FaultConfig, PartitionSpec, SendFault};
-pub use link::LinkModel;
+pub use link::{LinkModel, LinkTable};
 pub use metrics::{MessageKind, TrafficMeter};
 pub use network::{Network, SendOutcome};
 pub use node::NodeId;

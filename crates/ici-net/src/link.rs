@@ -66,6 +66,12 @@ impl LinkModel {
         Duration::from_millis_f64(unit * self.max_jitter_ms)
     }
 
+    /// Propagation delay `from → to`: the fixed overhead plus the
+    /// latency-space distance. Symmetric, because distance is.
+    pub fn propagation(&self, topology: &Topology, from: NodeId, to: NodeId) -> Duration {
+        Duration::from_millis_f64(self.base_ms + topology.distance_ms(from, to))
+    }
+
     /// Full transit time of the `seq`-th message `from → to` carrying
     /// `bytes`, over `topology`.
     pub fn transit(
@@ -76,8 +82,90 @@ impl LinkModel {
         bytes: u64,
         seq: u64,
     ) -> Duration {
-        let propagation = Duration::from_millis_f64(self.base_ms + topology.distance_ms(from, to));
-        propagation + self.serialization(bytes) + self.jitter(from, to, seq)
+        self.propagation(topology, from, to)
+            + self.serialization(bytes)
+            + self.jitter(from, to, seq)
+    }
+}
+
+/// A committee's members and the propagation delay between every pair of
+/// them, computed once.
+///
+/// Each entry is exactly [`LinkModel::propagation`], so a sender that
+/// adds [`LinkModel::serialization`] to an entry gets the same transit
+/// time [`LinkModel::transit`] returns on a jitter-free link, to the
+/// microsecond. The table depends only on the members' coordinates and
+/// the link model, both fixed for a network's life (a joining node only
+/// appends coordinates), so a committee that never changes can keep one
+/// table for as long as the network lives. Liveness is not in the table.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LinkTable {
+    members: Vec<NodeId>,
+    /// `c × c` delays in µs, one contiguous row per receiver: the entry
+    /// for `from → to` sits at `to * c + from`. Empty when some delay
+    /// does not fit a `u32` (over 71 minutes), so no pair is served from
+    /// the table.
+    delays_us: Vec<u32>,
+}
+
+impl LinkTable {
+    /// Builds the table for `members`, which must be distinct. Distance
+    /// is symmetric, so only one triangle is computed and mirrored.
+    pub fn new(topology: &Topology, link: &LinkModel, members: &[NodeId]) -> LinkTable {
+        debug_assert!(
+            {
+                let mut sorted = members.to_vec();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] != w[1])
+            },
+            "committee members must be distinct"
+        );
+        let c = members.len();
+        let mut delays_us = vec![0u32; c * c];
+        for (to, &b) in members.iter().enumerate() {
+            for (from, &a) in members.iter().enumerate().take(to + 1) {
+                let Ok(us) = u32::try_from(link.propagation(topology, a, b).as_micros()) else {
+                    return LinkTable {
+                        members: members.to_vec(),
+                        delays_us: Vec::new(),
+                    };
+                };
+                delays_us[to * c + from] = us;
+                delays_us[from * c + to] = us;
+            }
+        }
+        LinkTable {
+            members: members.to_vec(),
+            delays_us,
+        }
+    }
+
+    /// The committee, in the order it was built with; member indices
+    /// elsewhere in this API are positions in this slice.
+    pub fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// Position of `node` in the committee.
+    pub fn position(&self, node: NodeId) -> Option<usize> {
+        self.members.iter().position(|&m| m == node)
+    }
+
+    /// Whether every pair's delay is in the table.
+    pub fn is_complete(&self) -> bool {
+        self.delays_us.len() == self.members.len() * self.members.len()
+    }
+
+    /// Propagation delay from the member at position `from` to the one
+    /// at position `to`.
+    ///
+    /// # Panics
+    ///
+    /// If either position is out of range or the table is not complete.
+    pub fn delay(&self, from: usize, to: usize) -> Duration {
+        let c = self.members.len();
+        let row = &self.delays_us[to * c..(to + 1) * c];
+        Duration::from_micros(u64::from(row[from]))
     }
 }
 
@@ -160,6 +248,49 @@ mod tests {
             model.jitter(NodeId::new(0), NodeId::new(1), 9),
             Duration::ZERO
         );
+    }
+
+    #[test]
+    fn link_table_entries_equal_jitter_free_transit_and_are_symmetric() {
+        let model = LinkModel {
+            max_jitter_ms: 0.0,
+            ..LinkModel::default()
+        };
+        let topo = Topology::generate(40, &Placement::Uniform { side: 137.0 }, 9);
+        // A shuffled, gapped committee: positions differ from node ids.
+        let members: Vec<NodeId> = [31, 2, 17, 0, 39, 8, 23, 11, 5, 26]
+            .into_iter()
+            .map(NodeId::new)
+            .collect();
+        let table = LinkTable::new(&topo, &model, &members);
+        assert!(table.is_complete());
+        assert_eq!(table.members(), &members[..]);
+        for (to, &b) in members.iter().enumerate() {
+            assert_eq!(table.position(b), Some(to));
+            for (from, &a) in members.iter().enumerate() {
+                let entry = table.delay(from, to);
+                assert_eq!(entry, model.transit(&topo, a, b, 0, from as u64));
+                assert_eq!(entry, table.delay(to, from));
+                // Serialization adds on top, exactly as in `transit`.
+                assert_eq!(
+                    entry + model.serialization(4_321),
+                    model.transit(&topo, a, b, 4_321, 7)
+                );
+            }
+        }
+        assert_eq!(table.position(NodeId::new(1)), None);
+    }
+
+    #[test]
+    fn link_table_over_u32_micros_is_incomplete() {
+        // 5,000 s apart: the delay does not fit a u32 of microseconds.
+        let topo = two_node_topology(5_000_000.0);
+        let model = LinkModel::default();
+        let members = [NodeId::new(0), NodeId::new(1)];
+        let table = LinkTable::new(&topo, &model, &members);
+        assert!(!table.is_complete());
+        assert_eq!(table.members(), &members);
+        assert!(LinkTable::new(&topo, &model, &[]).is_complete());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::faults::{FaultConfig, SendFault};
-use crate::link::LinkModel;
+use crate::link::{LinkModel, LinkTable};
 use crate::metrics::{MessageKind, TrafficMeter};
 use crate::node::NodeId;
 use crate::time::{Duration, SimTime};
@@ -204,12 +204,28 @@ impl Network {
     /// stream position: no fault config is installed (inert configs are
     /// normalized to `None`) and the link draws zero jitter, so `send`
     /// consumes a sequence number but never turns it into randomness.
-    /// Untraced fan-outs may then go through [`Network::broadcast`],
-    /// which computes every delivery in one pass without forking;
-    /// jittery or faulty networks must keep per-actor forks, because
-    /// their committed traces depend on each actor's sequence stream.
     pub fn sends_are_stream_independent(&self) -> bool {
         self.faults.is_none() && self.link.max_jitter_ms <= 0.0
+    }
+
+    /// Whether traffic inside `table`'s committee may be computed in one
+    /// pass from the table ([`Network::fan_out`], or a caller's own sweep
+    /// charged through [`Network::charge_sends`]) instead of a loop of
+    /// [`Network::send`]: sends are stream independent, they are not
+    /// traced (a traced send logs an event and a sequence-derived id),
+    /// and the table holds every pair's delay. Jittery, faulty and
+    /// send-traced networks must keep the per-send path, because their
+    /// outcomes and events depend on each send's sequence number.
+    pub fn can_fan_out(&self, table: &LinkTable) -> bool {
+        self.sends_are_stream_independent()
+            && !(ici_trace::enabled() && self.trace.sends)
+            && table.is_complete()
+    }
+
+    /// The [`LinkTable`] of `members` on this network's topology and link
+    /// model.
+    pub fn link_table(&self, members: &[NodeId]) -> LinkTable {
+        LinkTable::new(&self.topology, &self.link, members)
     }
 
     /// Attempts to transmit `bytes` of `kind` from `from` to `to`.
@@ -308,57 +324,86 @@ impl Network {
         );
     }
 
-    /// Every live sender in `senders` sends one `kind` message of `bytes`
-    /// to every receiver in `receivers` other than itself, departing at
-    /// its listed send time: the deliveries and traffic of that loop of
-    /// [`Network::send`] calls, computed in one pass and charged with a
-    /// single [`TrafficMeter::record_fanout`].
+    /// Every live sender in `senders` — (position in `table`, send time)
+    /// pairs naming distinct members — sends one `kind` message of
+    /// `bytes` to every other member of `table`'s committee: the
+    /// deliveries and traffic of that loop of [`Network::send`] calls,
+    /// computed in one pass from the table and charged with a single
+    /// [`TrafficMeter::record_fanout`].
     ///
-    /// For each live receiver, in `receivers` order, `deliver(receiver,
+    /// For each live member, in committee order, `deliver(position,
     /// arrivals)` gets the arrival time (send time plus
     /// [`LinkModel::transit`]) of every message delivered to it, in
     /// `senders` order; the buffer is scratch the callee may reorder or
     /// extend. As with `send`, a down sender sends and charges nothing,
     /// and a down receiver is charged but gets no call.
     ///
-    /// Only for networks where [`Network::sends_are_stream_independent`]
-    /// holds and sends are not traced: the fan-out draws no sequence
-    /// numbers and logs no send events, so under jitter, faults or a
-    /// send-tracing context the caller must loop over `send` instead.
-    pub fn broadcast(
+    /// Only where [`Network::can_fan_out`] holds: the fan-out draws no
+    /// sequence numbers and logs no send events. It leaves the stream
+    /// where it was, as a batch of per-sender forks would; callers
+    /// advance it afterwards as the fork path does.
+    pub fn fan_out(
         &mut self,
-        senders: &[(NodeId, SimTime)],
-        receivers: &[NodeId],
+        table: &LinkTable,
+        senders: &[(usize, SimTime)],
         kind: MessageKind,
         bytes: u64,
-        mut deliver: impl FnMut(NodeId, &mut Vec<SimTime>),
+        mut deliver: impl FnMut(usize, &mut Vec<SimTime>),
     ) {
-        debug_assert!(self.sends_are_stream_independent());
-        let live: Vec<bool> = senders.iter().map(|&(s, _)| self.is_up(s)).collect();
-        let mut sent: Vec<(NodeId, u64)> = senders.iter().map(|&(s, _)| (s, 0)).collect();
-        let mut received: Vec<(NodeId, u64)> = Vec::with_capacity(receivers.len());
-        let mut arrivals: Vec<SimTime> = Vec::with_capacity(senders.len() + 1);
-        for &to in receivers {
-            let to_up = self.is_up(to);
+        debug_assert!(self.can_fan_out(table));
+        let members = table.members();
+        let serialization = self.link.serialization(bytes);
+        // Live senders, their departure pre-shifted by the serialization
+        // delay so each arrival is one table add.
+        let live: Vec<(usize, SimTime)> = senders
+            .iter()
+            .filter(|&&(i, _)| self.is_up(members[i]))
+            .map(|&(i, at)| (i, at + serialization))
+            .collect();
+        // 1 at each live sender: it reaches every member but itself.
+        let mut live_sender = vec![0u64; members.len()];
+        for &(i, _) in &live {
+            live_sender[i] = 1;
+        }
+        let others = members.len().saturating_sub(1) as u64;
+        let sent: Vec<(NodeId, u64)> = live.iter().map(|&(i, _)| (members[i], others)).collect();
+        let mut received: Vec<(NodeId, u64)> = Vec::with_capacity(members.len());
+        let mut arrivals: Vec<SimTime> = Vec::with_capacity(live.len() + 1);
+        for (to, &node) in members.iter().enumerate() {
+            received.push((node, live.len() as u64 - live_sender[to]));
+            if !self.is_up(node) {
+                continue;
+            }
             arrivals.clear();
-            let mut count = 0u64;
-            for (i, &(from, at)) in senders.iter().enumerate() {
-                if from == to || !live[i] {
-                    continue;
-                }
-                count += 1;
-                sent[i].1 += 1;
-                if to_up {
-                    arrivals
-                        .push(at + self.link.transit(&self.topology, from, to, bytes, self.seq));
-                }
-            }
-            received.push((to, count));
-            if to_up {
-                deliver(to, &mut arrivals);
-            }
+            arrivals.extend(
+                live.iter()
+                    .filter(|&&(from, _)| from != to)
+                    .map(|&(from, at)| at + table.delay(from, to)),
+            );
+            deliver(to, &mut arrivals);
         }
         self.meter.record_fanout(kind, bytes, &sent, &received);
+    }
+
+    /// Charges `kind` traffic of `bytes` per message that a caller
+    /// computed in one pass from a [`LinkTable`], in place of the loop of
+    /// [`Network::send`] calls it stands for: `sent` lists each sender
+    /// with its message count and `received` each receiver, as for
+    /// [`TrafficMeter::record_fanout`]. The sequence stream advances by
+    /// the message count, exactly where that loop would leave it, so no
+    /// later send can tell the two apart.
+    ///
+    /// Only where [`Network::can_fan_out`] holds, and only for sends the
+    /// loop would have attempted (live senders; down receivers included).
+    pub fn charge_sends(
+        &mut self,
+        kind: MessageKind,
+        bytes: u64,
+        sent: &[(NodeId, u64)],
+        received: &[(NodeId, u64)],
+    ) {
+        self.meter.record_fanout(kind, bytes, sent, received);
+        self.seq += sent.iter().map(|&(_, n)| n).sum::<u64>();
     }
 
     /// Adds a node at `coord` (e.g. a bootstrapping joiner). Returns its id.
@@ -532,12 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_matches_a_loop_of_send() {
+    fn fan_out_matches_a_loop_of_send() {
+        // A shuffled committee; senders are given by position.
+        let committee: Vec<NodeId> = [3, 1, 2, 4, 0, 5].into_iter().map(NodeId::new).collect();
         let senders: Vec<(NodeId, SimTime)> = [0, 2, 3, 5]
             .into_iter()
             .map(|i| (NodeId::new(i), SimTime::from_micros(100 * i)))
             .collect();
-        let receivers: Vec<NodeId> = [3, 1, 2, 4, 0].into_iter().map(NodeId::new).collect();
         let crashed = |net: &mut Network| {
             net.crash(NodeId::new(2)); // a sender and a receiver
             net.crash(NodeId::new(4)); // a receiver only
@@ -545,7 +591,7 @@ mod tests {
         let mut looped = net(6);
         crashed(&mut looped);
         let mut expected = Vec::new();
-        for &to in &receivers {
+        for &to in &committee {
             let mut arrivals = Vec::new();
             for &(from, at) in &senders {
                 if from != to {
@@ -560,14 +606,20 @@ mod tests {
         }
         let mut bulk = net(6);
         crashed(&mut bulk);
+        let table = bulk.link_table(&committee);
+        assert!(bulk.can_fan_out(&table));
+        let positions: Vec<(usize, SimTime)> = senders
+            .iter()
+            .map(|&(node, at)| (table.position(node).expect("member"), at))
+            .collect();
         let mut got = Vec::new();
-        bulk.broadcast(
-            &senders,
-            &receivers,
+        bulk.fan_out(
+            &table,
+            &positions,
             MessageKind::Vote,
             112,
             |to, arrivals| {
-                got.push((to, arrivals.clone()));
+                got.push((committee[to], arrivals.clone()));
             },
         );
         assert_eq!(got, expected);
@@ -582,6 +634,54 @@ mod tests {
         }
         assert_eq!(bulk.meter().sent_by(NodeId::new(2)).messages, 0);
         assert_eq!(bulk.meter().received_by(NodeId::new(4)).messages, 3);
+    }
+
+    #[test]
+    fn charge_sends_leaves_the_stream_where_a_loop_of_send_would() {
+        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mut looped = net(3);
+        looped.crash(c);
+        looped.send(a, b, MessageKind::BlockShard, 40);
+        looped.send(a, c, MessageKind::BlockShard, 40);
+        looped.send(b, a, MessageKind::BlockShard, 40);
+        let mut bulk = net(3);
+        bulk.crash(c);
+        bulk.charge_sends(
+            MessageKind::BlockShard,
+            40,
+            &[(a, 2), (b, 1)],
+            &[(b, 1), (c, 1), (a, 1)],
+        );
+        assert_eq!(bulk.next_send_trace_id(), looped.next_send_trace_id());
+        assert_eq!(bulk.meter().by_kind(), looped.meter().by_kind());
+        assert_eq!(bulk.meter().total(), looped.meter().total());
+        for node in [a, b, c] {
+            assert_eq!(bulk.meter().sent_by(node), looped.meter().sent_by(node));
+            assert_eq!(
+                bulk.meter().received_by(node),
+                looped.meter().received_by(node)
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_needs_a_quiet_untraced_network_and_a_complete_table() {
+        let members = [NodeId::new(0), NodeId::new(1)];
+        let quiet = net(2);
+        assert!(quiet.can_fan_out(&quiet.link_table(&members)));
+        let jittery = Network::new(
+            Topology::generate(2, &Placement::Uniform { side: 50.0 }, 1),
+            LinkModel::default(),
+        );
+        assert!(!jittery.can_fan_out(&jittery.link_table(&members)));
+        let far = Network::new(
+            Topology::from_coords(vec![Coord::new(0.0, 0.0), Coord::new(5.0e6, 0.0)]),
+            LinkModel {
+                max_jitter_ms: 0.0,
+                ..LinkModel::default()
+            },
+        );
+        assert!(!far.can_fan_out(&far.link_table(&members)));
     }
 
     #[test]
